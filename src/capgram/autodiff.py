@@ -4,6 +4,13 @@ Wide precision (float64) is the default and is what the test suite pins its
 tolerances to; narrow precision (float32) is available for training speed.
 Primitives fix their floating-point evaluation order, so identical inputs
 produce bit-identical outputs on a given platform.
+
+``correlate2d`` lowers to matrix products over a batch-major im2col patch
+matrix [N, C·kH·kW, Ho·Wo] (Chellapilla et al., 2006).  Above
+``GEMM_WORK_THRESHOLD`` the forward multiplies the flattened kernels into
+the patches; the backward always rebuilds the patches, contracts them with
+the adjoint for the kernel gradient, and adds ``kernelsᵀ @ g`` back into
+the input gradient with col2im.
 """
 
 from __future__ import annotations
@@ -16,9 +23,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 WIDE = np.float64
 NARROW = np.float32
 
-# Above this many multiply-accumulates, correlate2d switches from the
-# reference accumulation order to an im2col/GEMM evaluation.  Small inputs
-# (everything the loop-oracle tests cover) always take the reference path.
+# correlate2d's forward picks its evaluation by work count: up to this many
+# multiply-accumulates it takes _corr2d_reference, whose accumulation order
+# the loop-oracle tests pin exactly (all of their inputs are small); above
+# it, a GEMM over the im2col patch matrix.  Backward always uses im2col and
+# col2im, whatever the size.  It rebuilds the patch matrix rather than
+# keeping the forward's: kept patches stay alive until the backward sweep
+# reaches their call (about 25 MB per f32 capsnet step at batch 32, which
+# raised training peak RSS by about half), while rebuilding costs well under
+# a millisecond a call.
 GEMM_WORK_THRESHOLD = 1_000_000
 
 _grad_enabled = True
@@ -279,7 +292,11 @@ def add_scalar(a, s):
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0
-    out = np.where(mask, a.data, 0.0).astype(a.data.dtype)
+    # fmax maps NaN to 0 like the mask does; its scalar loop keeps -0.0,
+    # which adding +0.0 turns into +0.0 without touching any other value.
+    zero = np.zeros((), a.data.dtype)
+    out = np.fmax(a.data, zero)
+    out += zero
 
     def backward(g):
         return (g * mask,)
@@ -497,11 +514,43 @@ def _corr2d_reference(xp, w, stride, Ho, Wo):
     return out
 
 
-def _corr2d_gemm(xp, w, stride, Ho, Wo):
-    win = sliding_window_view(xp, (w.shape[2], w.shape[3]), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    out = np.tensordot(win, w, axes=((1, 4, 5), (1, 2, 3)))  # [N, Ho, Wo, O]
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+def _im2col(xp, kH, kW, stride, Ho, Wo):
+    """Batch-major patch matrix [N, C·kH·kW, Ho·Wo] of a padded input.
+
+    Row ``c·kH·kW + u·kW + v`` of sample n holds channel c shifted by (u, v),
+    the order of ``kernels.reshape(O, -1)``; each sample's block is
+    contiguous, so per-sample GEMMs read it without a transposed copy.
+    """
+    N, C = xp.shape[:2]
+    win = sliding_window_view(xp, (kH, kW), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(N, C * kH * kW, Ho * Wo)
+
+
+def _col2im(gcols, shape, kH, kW, stride, Ho, Wo):
+    """Adjoint of ``_im2col``: sum patch gradients into a zero gradient of
+    the padded input.
+
+    Adds one [N, C, Ho, Wo] plane per kernel offset, or one [N, C, kH, kW]
+    block per output position when those are fewer (a 1×1 output is a
+    single block).
+    """
+    N, C = shape[:2]
+    gc = gcols.reshape(N, C, kH, kW, Ho, Wo)
+    gxp = np.zeros(shape, dtype=gcols.dtype)
+    if kH * kW <= Ho * Wo:
+        for u in range(kH):
+            for v in range(kW):
+                gxp[:, :, u : u + stride * Ho : stride, v : v + stride * Wo : stride] += (
+                    gc[:, :, u, v]
+                )
+    else:
+        for y in range(Ho):
+            for x in range(Wo):
+                gxp[:, :, y * stride : y * stride + kH, x * stride : x * stride + kW] += (
+                    gc[..., y, x]
+                )
+    return gxp
 
 
 def correlate2d(a, kernels, stride=1, padding=0):
@@ -549,25 +598,32 @@ def correlate2d(a, kernels, stride=1, padding=0):
     else:
         xp = x
     w = kernels.data
-    work = N * O * Ho * Wo * C * kH * kW
-    if work <= GEMM_WORK_THRESHOLD:
+    K, P = C * kH * kW, Ho * Wo
+    w2 = w.reshape(O, K)
+    if N * O * P * K <= GEMM_WORK_THRESHOLD:
         out = _corr2d_reference(xp, w, stride, Ho, Wo)
     else:
-        out = _corr2d_gemm(xp, w, stride, Ho, Wo)
+        cols = _im2col(xp, kH, kW, stride, Ho, Wo)
+        # With a 1×1 output the patches are one [N, K] matrix: one GEMM
+        # instead of N matrix-vector products.
+        out = cols.reshape(N, K) @ w2.T if P == 1 else np.matmul(w2, cols)
+        out = out.reshape(N, O, Ho, Wo)
 
     def backward(g):
-        gb = g if batched else g[None]
-        win = sliding_window_view(xp, (kH, kW), axis=(2, 3))[:, :, ::stride, ::stride]
-        gw = np.tensordot(gb, win, axes=((0, 2, 3), (0, 2, 3)))
-        t = np.tensordot(gb, w, axes=(1, 0))  # [N, Ho, Wo, C, kH, kW]
-        gxp = np.zeros((N, C, Hp, Wp), dtype=xp.dtype)
-        for u in range(kH):
-            for v in range(kW):
-                gxp[:, :, u : u + stride * Ho : stride, v : v + stride * Wo : stride] += (
-                    t[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-                )
+        g3 = (g if batched else g[None]).reshape(N, O, P)
+        cols = _im2col(xp, kH, kW, stride, Ho, Wo)
+        # Per-sample GEMMs read the patches as they are but leave N partial
+        # [O, K] kernel gradients to sum; one GEMM over the batch first
+        # copies the patches to [N·P, K] and g to [O, N·P].  Take whichever
+        # moves fewer elements per sample.
+        if P * (K + O) > O * K:
+            gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+        else:
+            gw = np.tensordot(g3, cols, axes=((0, 2), (0, 2)))
+        gcols = g3.reshape(N, O) @ w2 if P == 1 else np.matmul(w2.T, g3)
+        gxp = _col2im(gcols, (N, C, Hp, Wp), kH, kW, stride, Ho, Wo)
         gx = gxp[:, :, padding : padding + H, padding : padding + W] if padding else gxp
-        return (gx if batched else gx[0], gw)
+        return (gx if batched else gx[0], gw.reshape(w.shape))
 
     return _node(out if batched else out[0], (a, kernels), backward)
 

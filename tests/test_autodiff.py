@@ -209,6 +209,31 @@ def test_relu_values():
     np.testing.assert_array_equal(out.data, [0.0, 2.0, 0.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bit_identical_to_where_formula(dtype):
+    # Pins relu's forward to np.where(x > 0, x, 0.0) bit for bit, signed
+    # zeros and NaNs included; lengths 1..33 reach both the vector body and
+    # the scalar tail of numpy's loops.
+    info = np.finfo(dtype)
+    special = np.array(
+        [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, info.smallest_subnormal,
+         -info.smallest_subnormal, info.tiny / 2, -info.tiny / 2, 1.5, -1.5],
+        dtype=dtype,
+    )
+    rng = np.random.default_rng(5)
+    arrays = [
+        np.roll(np.resize(special, n), k)
+        for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+        for k in range(special.size)
+    ]
+    arrays.append(rng.normal(size=(4, 3, 17, 19)).astype(dtype))
+    for x in arrays:
+        want = np.where(x > 0, x, 0.0).astype(dtype)
+        got = ad.relu(Tensor(x)).data
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes(), x
+
+
 def test_reduce_mean_value():
     assert ad.reduce_mean(Tensor(np.array([1.0, 2.0, 3.0, 4.0]))).item() == 2.5
 
@@ -414,6 +439,103 @@ def test_gemm_path_gradients():
         return ad.reduce_sum(ad.mul(ad.correlate2d(Tensor(x0), w), Tensor(proj)))
 
     assert ad.grad_check(f_kernel, Tensor(w0), 1e-5) < 1e-5
+
+
+def loop_correlate2d_with_grads(x, w, g, stride, padding):
+    """Float64 loops over output cells: output, input and kernel gradients.
+
+    ``x`` is [N, C, H, W]; ``g`` is the adjoint of the [N, O, Ho, Wo] output.
+    """
+    x, w, g = (np.asarray(t, dtype=np.float64) for t in (x, w, g))
+    N = x.shape[0]
+    O, _, kH, kW = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    Ho, Wo = g.shape[-2:]
+    out = np.zeros(g.shape)
+    gxp = np.zeros(xp.shape)
+    gw = np.zeros(w.shape)
+    for n in range(N):
+        for y in range(Ho):
+            for xx in range(Wo):
+                rows = slice(y * stride, y * stride + kH)
+                cols = slice(xx * stride, xx * stride + kW)
+                patch = xp[n, :, rows, cols]
+                for o in range(O):
+                    out[n, o, y, xx] = (patch * w[o]).sum()
+                    gw[o] += g[n, o, y, xx] * patch
+                    gxp[n, :, rows, cols] += g[n, o, y, xx] * w[o]
+    H, W = x.shape[-2:]
+    return out, gxp[:, :, padding : padding + H, padding : padding + W], gw
+
+
+# (input shape, kernel shape, stride, padding); each above GEMM_WORK_THRESHOLD
+GEMM_CASES = {
+    "stride2_pad1_unbatched": ((8, 60, 60), (16, 8, 3, 3), 2, 1),
+    "one_by_one_output": ((128, 8, 6, 6), (32, 8, 6, 6), 1, 0),
+    "overlapping_windows_small_output": ((32, 4, 7, 7), (32, 4, 6, 6), 1, 1),
+}
+
+
+def _gemm_case(name, dtype, seed=0):
+    x_shape, w_shape, stride, padding = GEMM_CASES[name]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=w_shape).astype(dtype)
+    H, W = x_shape[-2:]
+    Ho = (H + 2 * padding - w_shape[2]) // stride + 1
+    Wo = (W + 2 * padding - w_shape[3]) // stride + 1
+    lead = x_shape[:1] if len(x_shape) == 4 else ()
+    g = rng.normal(size=lead + (w_shape[0], Ho, Wo)).astype(dtype)
+    batch = x_shape[0] if len(x_shape) == 4 else 1
+    work = batch * w_shape[0] * Ho * Wo * int(np.prod(w_shape[1:]))
+    assert work > ad.GEMM_WORK_THRESHOLD
+    return x, w, g, stride, padding
+
+
+def _run_correlate(x, w, g, stride, padding):
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    out = ad.correlate2d(xt, wt, stride, padding)
+    ad.reduce_sum(ad.mul(out, Tensor(g))).backward()
+    return out.data, xt.grad, wt.grad
+
+
+@pytest.mark.parametrize("name", sorted(GEMM_CASES))
+def test_gemm_path_forward_and_gradients_vs_loop_oracle(name):
+    x, w, g, stride, padding = _gemm_case(name, np.float64)
+    out, gx, gw = _run_correlate(x, w, g, stride, padding)
+    unbatched = x.ndim == 3
+    want, want_gx, want_gw = loop_correlate2d_with_grads(
+        x[None] if unbatched else x, w, g[None] if unbatched else g, stride, padding
+    )
+    if unbatched:
+        want, want_gx = want[0], want_gx[0]
+    assert out.shape == want.shape and gx.shape == x.shape and gw.shape == w.shape
+    np.testing.assert_allclose(out, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(gx, want_gx, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(gw, want_gw, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GEMM_CASES))
+def test_gemm_path_narrow_in_narrow_out(name):
+    x, w, g, stride, padding = _gemm_case(name, np.float32)
+    out, gx, gw = _run_correlate(x, w, g, stride, padding)
+    assert out.dtype == gx.dtype == gw.dtype == np.float32
+    wide_out, wide_gx, wide_gw = _run_correlate(
+        x.astype(np.float64), w.astype(np.float64), g.astype(np.float64), stride, padding
+    )
+    for got, want in ((out, wide_out), (gx, wide_gx), (gw, wide_gw)):
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(GEMM_CASES))
+def test_gemm_path_repeat_calls_byte_identical(name, dtype):
+    case = _gemm_case(name, dtype)
+    first = _run_correlate(*case)
+    second = _run_correlate(*case)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
