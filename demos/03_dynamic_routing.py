@@ -23,9 +23,9 @@ print("\ndeep capsule values:", routed.values.data[:, 0, 0, 0].round(5).tolist()
 print("squash keeps norms below 1:", float(np.abs(routed.values.data).max()) < 1.0)
 
 print("\n== uniform (equal) routing is one averaged step ==")
-equal = rt.equal_route(stack)
+equal, _ = rt.equal_route_traced(stack)
 one_iter, _ = rt.dynamic_route(stack, 1)
-print("equal_route == dynamic_route(S, 1):",
+print("equal_route_traced == dynamic_route(S, 1):",
       np.array_equal(equal.values.data, one_iter.values.data))
 
 print("\n== the coefficient argmax is a parse forest ==")

@@ -7,100 +7,4 @@ CNN models, an executable AND-OR scene grammar with a part-swap probe, and
 an experiment harness (also exposed as the ``capgram`` command).
 """
 
-from .autodiff import Tensor, grad_check, no_grad, tensor
-from .dataset import DatasetBundle, DatasetConfig, generate_dataset, load_dataset
-from .equivariant import (
-    ConvLayer,
-    FeatureField,
-    MaxPoolLayer,
-    check_translation_equivariance,
-    conv_layer,
-    max_pool_layer,
-)
-from .grammar import (
-    SceneGrammar,
-    SceneManifest,
-    builtin_distractor_grammar,
-    builtin_face_grammar,
-    part_swap,
-    sample_scene,
-)
-from .losses import (
-    LossSchedule,
-    LossWeights,
-    combined_loss,
-    entropy_loss,
-    margin_loss,
-    schedule_weights,
-)
-from .models import (
-    CapsNetConfig,
-    CNNConfig,
-    ModelOutput,
-    build_capsnet,
-    build_cnn,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .routing import (
-    CapsuleField,
-    ParseForest,
-    PredictionStack,
-    RoutingTrace,
-    dynamic_route,
-    equal_route,
-    extract_parse,
-    parse_to_dot,
-    predict,
-    routing_entropy,
-    squash,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Tensor",
-    "tensor",
-    "grad_check",
-    "no_grad",
-    "FeatureField",
-    "ConvLayer",
-    "MaxPoolLayer",
-    "conv_layer",
-    "max_pool_layer",
-    "check_translation_equivariance",
-    "CapsuleField",
-    "PredictionStack",
-    "RoutingTrace",
-    "ParseForest",
-    "predict",
-    "squash",
-    "dynamic_route",
-    "equal_route",
-    "routing_entropy",
-    "extract_parse",
-    "parse_to_dot",
-    "LossWeights",
-    "LossSchedule",
-    "margin_loss",
-    "entropy_loss",
-    "combined_loss",
-    "schedule_weights",
-    "CapsNetConfig",
-    "CNNConfig",
-    "ModelOutput",
-    "build_capsnet",
-    "build_cnn",
-    "save_checkpoint",
-    "load_checkpoint",
-    "SceneGrammar",
-    "SceneManifest",
-    "builtin_face_grammar",
-    "builtin_distractor_grammar",
-    "sample_scene",
-    "part_swap",
-    "DatasetConfig",
-    "DatasetBundle",
-    "generate_dataset",
-    "load_dataset",
-]

@@ -391,22 +391,6 @@ def reshape(a, shape):
     return _node(out, (a,), backward)
 
 
-def take_segment(a, start, stop):
-    """Contiguous slice [start, stop) of the flattened tensor."""
-    a = _as_tensor(a)
-    start, stop = int(start), int(stop)
-    if not (0 <= start <= stop <= a.data.size):
-        raise ValueError(f"segment [{start}, {stop}) out of range for size {a.data.size}")
-    out = a.data.reshape(-1)[start:stop].copy()
-
-    def backward(g):
-        gx = np.zeros(a.data.size, dtype=a.data.dtype)
-        gx[start:stop] = g
-        return (gx.reshape(a.data.shape),)
-
-    return _node(out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # normalization primitives
 

@@ -90,14 +90,6 @@ class MaxPoolLayer:
         return FeatureField(ad.max_pool_window(field.values, self.window, self.stride))
 
 
-def conv_layer(field, kernels, stride=1, padding=0, activation="none"):
-    return ConvLayer(kernels, stride, padding, activation)(field)
-
-
-def max_pool_layer(field, window, stride):
-    return MaxPoolLayer(window, stride)(field)
-
-
 def translate(values, dy, dx):
     """Shift an [..., H, W] array by (dy, dx), filling vacated cells with 0."""
     values = np.asarray(values)

@@ -36,8 +36,7 @@ class RunConfig:
     model_kind: str = "capsnet"  # capsnet | cnn
     routing_mode: str = "dynamic"  # dynamic | equal
     iters: int = 3
-    cnn_head: str = "margin_scores"  # margin_scores | cross_entropy_logits
-    loss_mode: str = "fixed"  # fixed | linear_ramp | linear_ramp_unweighted
+    loss_mode: str = "fixed"  # fixed | linear_ramp
     w_ent: float = 0.0
     w_ent_start: float = 0.0
     w_ent_end: float = 0.8
@@ -51,14 +50,16 @@ class RunConfig:
             raise ConfigError(f"model.kind must be capsnet|cnn, got {self.model_kind!r}")
         if self.routing_mode not in ("dynamic", "equal"):
             raise ConfigError(f"model.routing must be dynamic|equal, got {self.routing_mode!r}")
+        if self.iters < 1:
+            raise ConfigError(f"model.iters must be at least 1, got {self.iters}")
         if self.precision not in ("narrow", "wide"):
             raise ConfigError(f"train.precision must be narrow|wide, got {self.precision!r}")
-        if self.cnn_head not in ("margin_scores", "cross_entropy_logits"):
-            raise ConfigError(f"model.head invalid: {self.cnn_head!r}")
-        if self.loss_mode not in ("fixed", "linear_ramp", "linear_ramp_unweighted"):
-            raise ConfigError(f"loss.mode invalid: {self.loss_mode!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("train.epochs and train.batch must be positive")
+        try:
+            self.schedule()
+        except ValueError as exc:
+            raise ConfigError(f"loss: {exc}") from exc
 
     @property
     def dtype(self):
@@ -77,7 +78,6 @@ CONFIG_KEYS = {
     "model.kind": ("model_kind", str),
     "model.routing": ("routing_mode", str),
     "model.iters": ("iters", int),
-    "model.head": ("cnn_head", str),
     "loss.mode": ("loss_mode", str),
     "loss.w_ent": ("w_ent", float),
     "loss.w_ent_start": ("w_ent_start", float),
@@ -162,26 +162,10 @@ def variant_config(name, dataset_dir, out_dir, seed=7, **overrides):
 
 def build_model(cfg):
     if cfg.model_kind == "cnn":
-        return md.build_cnn(md.CNNConfig(head=cfg.cnn_head), seed=cfg.seed, dtype=cfg.dtype)
+        return md.build_cnn(seed=cfg.seed, dtype=cfg.dtype)
     base = md.CapsNetConfig(routing_mode=cfg.routing_mode)
     routed = tuple(replace(spec, iters=cfg.iters) for spec in base.routed)
     return md.build_capsnet(replace(base, routed=routed), seed=cfg.seed, dtype=cfg.dtype)
-
-
-def _classification_loss(out, targets, cfg):
-    if cfg.model_kind == "cnn" and cfg.cnn_head == "cross_entropy_logits":
-        B, K = out.class_activations.shape
-        onehot = np.zeros((B, K), dtype=out.class_activations.dtype)
-        onehot[np.arange(B), targets] = 1.0
-        picked = ad.reduce_sum(
-            ad.mul(
-                Tensor(onehot),
-                ad.log(ad.add_scalar(out.class_activations, rt.ENTROPY_LOG_GUARD)),
-            ),
-            axis=1,
-        )
-        return ad.neg(ad.reduce_mean(picked))
-    return ls.margin_loss(out.class_activations, targets)
 
 
 def _epoch_rng(seed, epoch):
@@ -202,7 +186,7 @@ def train(cfg, log=print):
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(cfg)
-    optimizer = Adam(model.parameters(), lr=cfg.lr)
+    optimizer = Adam(model.params.values(), lr=cfg.lr)
     schedule = cfg.schedule()
     images = data.images_float("train", dtype=cfg.dtype)
     labels = data.labels["train"].astype(np.int64)
@@ -224,7 +208,7 @@ def train(cfg, log=print):
                 targets = labels[idx]
                 try:
                     out = model.forward(batch)
-                    margin = _classification_loss(out, targets, cfg)
+                    margin = ls.margin_loss(out.class_activations, targets)
                     if out.traces:
                         entropy_value = float(sum(t.entropy_mean[-1] for t in out.traces))
                         if weights.w_ent > 0.0:

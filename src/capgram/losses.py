@@ -38,7 +38,6 @@ class LossSchedule:
     modes:
       fixed           -- constant (1 - w_ent_end, w_ent_end)
       linear_ramp     -- w_ent ramps start -> end, w_cls = 1 - w_ent
-      linear_ramp_unweighted -- w_ent ramps start -> end, w_cls stays 1
     """
 
     mode: str = "fixed"
@@ -47,7 +46,7 @@ class LossSchedule:
     total_epochs: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "linear_ramp", "linear_ramp_unweighted"):
+        if self.mode not in ("fixed", "linear_ramp"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if not (0.0 <= self.w_ent_start <= 1.0 and 0.0 <= self.w_ent_end <= 1.0):
             raise ValueError(f"entropy weights must lie in [0, 1]: {self}")
@@ -71,8 +70,6 @@ def schedule_weights(epoch, schedule):
     else:
         span = schedule.w_ent_end - schedule.w_ent_start
         w_ent = schedule.w_ent_start + span * epoch / (schedule.total_epochs - 1)
-    if schedule.mode == "linear_ramp_unweighted":
-        return LossWeights(1.0, w_ent)
     return LossWeights(1.0 - w_ent, w_ent)
 
 

@@ -7,8 +7,7 @@ activation is the norm of the (spatially averaged) class capsule, which the
 squash keeps below 1.
 
 The CNN baseline matches depth/width, uses max-pooling, and scores classes
-through a full-extent correlation head with either a sigmoid (margin
-training) or raw logits (cross-entropy training).
+through a full-extent correlation head and a sigmoid.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ class CNNConfig:
         PoolSpec(2, 2),
         ConvSpec(64, 3),
     )
-    head: str = "margin_scores"  # margin_scores | cross_entropy_logits
     n_classes: int = 2
 
 
@@ -84,81 +82,94 @@ class CNNConfig:
 class ModelOutput:
     class_activations: Tensor  # [B, n_classes], in [0, 1)
     traces: list = dc_field(default_factory=list)
-    logits: Tensor | None = None  # raw scores for the cross-entropy head
-
-
-def _he_uniform(rng, shape, fan_in, dtype):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def _conv_out(extent, kernel, stride, padding):
     return (extent + 2 * padding - kernel) // stride + 1
 
 
-class CapsNet:
-    def __init__(self, cfg, seed, dtype=np.float64):
+class _Model:
+    """Parameter registry shared by CapsNet and CNN.
+
+    params is an insertion-ordered name -> Tensor dict; its order is the
+    checkpoint order and the order the seeded PCG64 stream fills weights in.
+    Forward passes look parameters up by name, so assigning a new dict with
+    the same names rebinds the whole model.
+    """
+
+    def __init__(self, cfg, seed, dtype):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        self._params = []
-        extent = cfg.image_size
-        ch = cfg.in_channels
-        self.stem = []
-        for n, spec in enumerate(cfg.stem):
-            k = _he_uniform(
-                rng,
-                (spec.channels, ch, spec.kernel, spec.kernel),
-                ch * spec.kernel * spec.kernel,
-                self.dtype,
-            )
-            t = Tensor(k, requires_grad=True)
-            b = Tensor(np.zeros(spec.channels, dtype=self.dtype), requires_grad=True)
-            self._params.append((f"stem.{n}.kernels", t))
-            self._params.append((f"stem.{n}.bias", b))
-            self.stem.append(
-                ConvLayer(t, spec.stride, spec.padding, spec.activation, bias=b)
-            )
-            extent = _conv_out(extent, spec.kernel, spec.stride, spec.padding)
-            ch = spec.channels
-            if extent < 1:
-                raise ValueError(f"stem layer {n} shrinks extent to {extent}")
-        prim_ch = cfg.primary_types * cfg.primary_dim
-        k = _he_uniform(
-            rng,
-            (prim_ch, ch, cfg.primary_kernel, cfg.primary_kernel),
-            ch * cfg.primary_kernel**2,
-            self.dtype,
+        self.rng = np.random.default_rng(np.random.PCG64(seed))
+        self.params = {}
+
+    def _weight(self, name, shape):
+        """He-uniform weights; fan-in is the input channels times the window."""
+        bound = np.sqrt(6.0 / int(np.prod(shape[-3:])))
+        values = self.rng.uniform(-bound, bound, size=shape).astype(self.dtype)
+        self.params[name] = Tensor(values, requires_grad=True)
+
+    def _conv(self, prefix, out_channels, in_channels, kernel):
+        self._weight(f"{prefix}.kernels", (out_channels, in_channels, kernel, kernel))
+        self.params[f"{prefix}.bias"] = Tensor(
+            np.zeros(out_channels, dtype=self.dtype), requires_grad=True
         )
-        self.primary_kernels = Tensor(k, requires_grad=True)
+
+    def _conv_stack(self, prefix, specs, extent, channels):
+        """Register the convs of a ConvSpec/PoolSpec stack; returns its output
+        extent and channel count."""
+        for n, spec in enumerate(specs):
+            if isinstance(spec, PoolSpec):
+                extent = (extent - spec.window) // spec.stride + 1
+            else:
+                self._conv(f"{prefix}.{n}", spec.channels, channels, spec.kernel)
+                extent = _conv_out(extent, spec.kernel, spec.stride, spec.padding)
+                channels = spec.channels
+            if extent < 1:
+                raise ValueError(f"{prefix}.{n} shrinks extent to {extent}")
+        return extent, channels
+
+    def _conv_layer(self, prefix, field, stride=1, padding=0, activation="none"):
+        p = self.params
+        layer = ConvLayer(
+            p[f"{prefix}.kernels"], stride, padding, activation, bias=p[f"{prefix}.bias"]
+        )
+        return layer(field)
+
+    def _run_stack(self, prefix, specs, field):
+        for n, spec in enumerate(specs):
+            if isinstance(spec, PoolSpec):
+                field = MaxPoolLayer(spec.window, spec.stride)(field)
+            else:
+                field = self._conv_layer(
+                    f"{prefix}.{n}", field, spec.stride, spec.padding, spec.activation
+                )
+        return field
+
+
+class CapsNet(_Model):
+    def __init__(self, cfg, seed, dtype=np.float64):
+        super().__init__(cfg, seed, dtype)
+        extent, ch = self._conv_stack("stem", cfg.stem, cfg.image_size, cfg.in_channels)
         # the bias keeps blank canvas regions from producing exactly-zero
         # capsules, whose routing rows would be stuck at uniform forever
-        self.primary_bias = Tensor(np.zeros(prim_ch, dtype=self.dtype), requires_grad=True)
-        self._params.append(("primary.kernels", self.primary_kernels))
-        self._params.append(("primary.bias", self.primary_bias))
+        self._conv("primary", cfg.primary_types * cfg.primary_dim, ch, cfg.primary_kernel)
         extent = _conv_out(extent, cfg.primary_kernel, cfg.primary_stride, 0)
         if extent < 1:
             raise ValueError(f"primary capsule layer shrinks extent to {extent}")
 
-        self.routed_filters = []
-        n_types, dim = cfg.primary_types, cfg.primary_dim
+        dim = cfg.primary_dim
         for n, spec in enumerate(cfg.routed):
-            k = _he_uniform(
-                rng,
-                (spec.n_out, spec.dim, dim, spec.kernel, spec.kernel),
-                dim * spec.kernel * spec.kernel,
-                self.dtype,
+            self._weight(
+                f"routed.{n}.filters", (spec.n_out, spec.dim, dim, spec.kernel, spec.kernel)
             )
-            t = Tensor(k, requires_grad=True)
-            self._params.append((f"routed.{n}.filters", t))
-            self.routed_filters.append(t)
             extent = _conv_out(extent, spec.kernel, spec.stride, 0)
             if extent < 1:
                 raise ValueError(
                     f"routed layer {n} shrinks extent to {extent} "
                     f"(kernel {spec.kernel}, stride {spec.stride})"
                 )
-            n_types, dim = spec.n_out, spec.dim
+            dim = spec.dim
         if cfg.routed[-1].n_out != cfg.n_classes:
             raise ValueError(
                 f"final routed layer has {cfg.routed[-1].n_out} types, "
@@ -170,47 +181,18 @@ class CapsNet:
                 f"adjust kernels/strides"
             )
 
-    def parameters(self):
-        return [t for _, t in self._params]
-
-    def named_parameters(self):
-        return list(self._params)
-
-    def bind_parameters(self, tensors):
-        """Swap in replacement parameter tensors (e.g. graph-connected views)."""
-        if len(tensors) != len(self._params):
-            raise ValueError(f"expected {len(self._params)} tensors, got {len(tensors)}")
-        for (name, old), new in zip(self._params, tensors):
-            if new.shape != old.shape:
-                raise ValueError(f"{name}: shape {new.shape} != {old.shape}")
-        self._params = [(n, t) for (n, _), t in zip(self._params, tensors)]
-        k = 2 * len(self.stem)
-        for i, layer in enumerate(self.stem):
-            layer.kernels = self._params[2 * i][1]
-            layer.bias = self._params[2 * i + 1][1]
-        self.primary_kernels = self._params[k][1]
-        self.primary_bias = self._params[k + 1][1]
-        self.routed_filters = [t for _, t in self._params[k + 2 :]]
-
     def forward(self, batch):
-        x = _check_batch(batch, self.cfg, self.dtype)
-        field = FeatureField(x)
-        for layer in self.stem:
-            field = layer(field)
-        prim = ad.correlate2d(
-            field.values, self.primary_kernels, self.cfg.primary_stride, 0
-        )
-        prim = ad.add(prim, ad.reshape(self.primary_bias, (self.primary_bias.shape[0], 1, 1)))
-        B = prim.shape[0]
-        Hp, Wp = prim.shape[-2:]
-        caps = ad.reshape(
-            prim, (B, self.cfg.primary_types, self.cfg.primary_dim, Hp, Wp)
-        )
+        cfg = self.cfg
+        field = FeatureField(_check_batch(batch, cfg, self.dtype))
+        field = self._run_stack("stem", cfg.stem, field)
+        prim = self._conv_layer("primary", field, cfg.primary_stride).values
+        B, _, Hp, Wp = prim.shape
+        caps = ad.reshape(prim, (B, cfg.primary_types, cfg.primary_dim, Hp, Wp))
         caps = rt.CapsuleField(rt.squash(caps, axis=-3))
         traces = []
-        for spec, filters in zip(self.cfg.routed, self.routed_filters):
-            S = rt.predict(caps, filters, spec.stride, 0)
-            if self.cfg.routing_mode == "equal":
+        for n, spec in enumerate(cfg.routed):
+            S = rt.predict(caps, self.params[f"routed.{n}.filters"], spec.stride, 0)
+            if cfg.routing_mode == "equal":
                 caps, trace = rt.equal_route_traced(S)
             else:
                 caps, trace = rt.dynamic_route(S, spec.iters)
@@ -222,77 +204,17 @@ class CapsNet:
         return ModelOutput(class_activations=acts, traces=traces)
 
 
-class CNN:
+class CNN(_Model):
     def __init__(self, cfg, seed, dtype=np.float64):
-        self.cfg = cfg
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        self._params = []
-        self.layers = []
-        extent = cfg.image_size
-        ch = cfg.in_channels
-        for n, spec in enumerate(cfg.layers):
-            if isinstance(spec, PoolSpec):
-                self.layers.append(MaxPoolLayer(spec.window, spec.stride))
-                extent = (extent - spec.window) // spec.stride + 1
-            else:
-                k = _he_uniform(
-                    rng,
-                    (spec.channels, ch, spec.kernel, spec.kernel),
-                    ch * spec.kernel * spec.kernel,
-                    self.dtype,
-                )
-                t = Tensor(k, requires_grad=True)
-                b = Tensor(np.zeros(spec.channels, dtype=self.dtype), requires_grad=True)
-                self._params.append((f"layers.{n}.kernels", t))
-                self._params.append((f"layers.{n}.bias", b))
-                self.layers.append(
-                    ConvLayer(t, spec.stride, spec.padding, spec.activation, bias=b)
-                )
-                extent = _conv_out(extent, spec.kernel, spec.stride, spec.padding)
-                ch = spec.channels
-            if extent < 1:
-                raise ValueError(f"layer {n} shrinks extent to {extent}")
-        k = _he_uniform(
-            rng, (cfg.n_classes, ch, extent, extent), ch * extent * extent, self.dtype
-        )
-        self.head_kernels = Tensor(k, requires_grad=True)
-        self.head_bias = Tensor(np.zeros(cfg.n_classes, dtype=self.dtype), requires_grad=True)
-        self._params.append(("head.kernels", self.head_kernels))
-        self._params.append(("head.bias", self.head_bias))
-
-    def parameters(self):
-        return [t for _, t in self._params]
-
-    def named_parameters(self):
-        return list(self._params)
-
-    def bind_parameters(self, tensors):
-        if len(tensors) != len(self._params):
-            raise ValueError(f"expected {len(self._params)} tensors, got {len(tensors)}")
-        for (name, old), new in zip(self._params, tensors):
-            if new.shape != old.shape:
-                raise ValueError(f"{name}: shape {new.shape} != {old.shape}")
-        self._params = [(n, t) for (n, _), t in zip(self._params, tensors)]
-        convs = [l for l in self.layers if isinstance(l, ConvLayer)]
-        for i, layer in enumerate(convs):
-            layer.kernels = self._params[2 * i][1]
-            layer.bias = self._params[2 * i + 1][1]
-        self.head_kernels = self._params[-2][1]
-        self.head_bias = self._params[-1][1]
+        super().__init__(cfg, seed, dtype)
+        extent, ch = self._conv_stack("layers", cfg.layers, cfg.image_size, cfg.in_channels)
+        self._conv("head", cfg.n_classes, ch, extent)
 
     def forward(self, batch):
-        x = _check_batch(batch, self.cfg, self.dtype)
-        field = FeatureField(x)
-        for layer in self.layers:
-            field = layer(field)
-        scores = ad.correlate2d(field.values, self.head_kernels, 1, 0)
-        scores = ad.add(scores, ad.reshape(self.head_bias, (self.cfg.n_classes, 1, 1)))
-        B = scores.shape[0]
-        scores = ad.reshape(scores, (B, self.cfg.n_classes))
-        if self.cfg.head == "cross_entropy_logits":
-            probs = ad.softmax(scores, axis=1)
-            return ModelOutput(class_activations=probs, logits=scores)
+        field = FeatureField(_check_batch(batch, self.cfg, self.dtype))
+        field = self._run_stack("layers", self.cfg.layers, field)
+        scores = self._conv_layer("head", field).values
+        scores = ad.reshape(scores, (scores.shape[0], self.cfg.n_classes))
         return ModelOutput(class_activations=ad.sigmoid(scores))
 
 
@@ -319,10 +241,6 @@ def build_cnn(cfg=None, seed=0, dtype=np.float64):
     return CNN(cfg or CNNConfig(), seed, dtype)
 
 
-def parameter_count(model):
-    return sum(t.data.size for t in model.parameters())
-
-
 # ---------------------------------------------------------------------------
 # checkpoints: magic "CGL1", then per parameter
 #   u64 name length | name utf-8 | u64 rank | u64 extents... | f64 values
@@ -332,7 +250,7 @@ def parameter_count(model):
 def save_checkpoint(model, path):
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        for name, t in model.named_parameters():
+        for name, t in model.params.items():
             raw = name.encode("utf-8")
             fh.write(struct.pack("<Q", len(raw)))
             fh.write(raw)
@@ -372,7 +290,7 @@ def load_checkpoint(path):
 
 def load_state(model, state):
     """Load checkpoint arrays into a model, casting to its precision."""
-    for name, t in model.named_parameters():
+    for name, t in model.params.items():
         if name not in state:
             raise ValueError(f"checkpoint missing parameter {name!r}")
         arr = state[name]
@@ -382,6 +300,6 @@ def load_state(model, state):
                 f"model expects {t.data.shape}"
             )
         t.data = arr.astype(model.dtype)
-    extra = set(state) - {n for n, _ in model.named_parameters()}
+    extra = set(state) - set(model.params)
     if extra:
         raise ValueError(f"checkpoint has unexpected parameters: {sorted(extra)}")

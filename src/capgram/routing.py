@@ -205,14 +205,9 @@ def dynamic_route(S, iters):
     return _route(S, iters, lambda b: ad.softmax(b, axis=-3))
 
 
-def equal_route(S):
-    """Uniform-coefficient baseline: one weighted sum plus squash."""
-    caps, _ = equal_route_traced(S)
-    return caps
-
-
 def equal_route_traced(S):
-    """equal_route plus a single-iteration trace of the uniform coefficients."""
+    """Uniform-coefficient baseline: one weighted sum plus squash; returns
+    deep capsules and a single-iteration trace of the uniform coefficients."""
     if not isinstance(S, PredictionStack):
         S = PredictionStack(S)
     n_out = S.n_out

@@ -6,8 +6,24 @@ from capgram import autodiff as ad
 from capgram import losses as ls
 
 
+def take_segment(a, start, stop):
+    """Contiguous slice [start, stop) of the flattened tensor."""
+    a = ad._as_tensor(a)
+    start, stop = int(start), int(stop)
+    if not (0 <= start <= stop <= a.data.size):
+        raise ValueError(f"segment [{start}, {stop}) out of range for size {a.data.size}")
+    out = a.data.reshape(-1)[start:stop].copy()
+
+    def backward(g):
+        gx = np.zeros(a.data.size, dtype=a.data.dtype)
+        gx[start:stop] = g
+        return (gx.reshape(a.data.shape),)
+
+    return ad._node(out, (a,), backward)
+
+
 def flat_parameters(model):
-    return np.concatenate([t.data.ravel() for t in model.parameters()]).astype(np.float64)
+    return np.concatenate([t.data.ravel() for t in model.params.values()]).astype(np.float64)
 
 
 def model_loss_fn(model, batch, targets, weights=None):
@@ -18,17 +34,15 @@ def model_loss_fn(model, batch, targets, weights=None):
     ``grad_check`` expects.
     """
     weights = weights or ls.LossWeights(0.6, 0.4)
-    shapes = [t.data.shape for t in model.parameters()]
-    sizes = [int(np.prod(s)) for s in shapes]
-    originals = model.parameters()
+    originals = model.params
 
     def fn(x):
-        parts = []
+        params = {}
         off = 0
-        for size, shape in zip(sizes, shapes):
-            parts.append(ad.reshape(ad.take_segment(x, off, off + size), shape))
-            off += size
-        model.bind_parameters(parts)
+        for name, t in originals.items():
+            params[name] = ad.reshape(take_segment(x, off, off + t.data.size), t.data.shape)
+            off += t.data.size
+        model.params = params
         try:
             out = model.forward(batch)
             margin = ls.margin_loss(out.class_activations, targets)
@@ -37,6 +51,6 @@ def model_loss_fn(model, batch, targets, weights=None):
                 return ls.combined_loss(margin, entropy, weights)
             return margin
         finally:
-            model.bind_parameters(originals)
+            model.params = originals
 
     return fn

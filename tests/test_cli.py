@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capgram import cli
 from capgram import dataset as ds
+from capgram import experiment as ex
+from capgram.config import parse_flat
 
 
 def _write_config(path, dataset_dir, **extra):
@@ -107,7 +110,7 @@ def test_inspect_subcommand(workspace):
     assert (run / "entropy-val-2.txt").exists()
 
 
-def test_usage_errors_exit_1(tmp_path, capsys):
+def test_usage_errors_exit_1(workspace, tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "missing.cfg"), "--out", "x"]) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
@@ -115,6 +118,29 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("dataset.dir = d\nwhat.is = this\n")
     assert cli.main(["train", "--config", str(unknown), "--out", "x"]) == 1
+    # run settings that only the loss schedule or routing could reject are
+    # refused before the dataset loads, not mid-training as runtime failures
+    data = workspace[2]
+    invalid = (
+        {"loss.w_ent": 1.5},
+        {"loss.mode": "linear_ramp", "loss.w_ent_start": 0.8, "loss.w_ent_end": 0.2},
+        {"model.iters": 0},
+    )
+    for i, extra in enumerate(invalid):
+        cfg = _write_config(tmp_path / f"invalid{i}.cfg", data, **extra)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_readme_complete_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("A complete config:\n\n```\n", 1)[1].split("```", 1)[0]
+    mapping = parse_flat(block)
+    run = ex.run_config_from_mapping(mapping)
+    assert (run.model_kind, run.routing_mode, run.loss_mode) == ("capsnet", "dynamic", "linear_ramp")
+    assert (run.w_ent_start, run.w_ent_end, run.precision) == (0.0, 0.8, "narrow")
+    data = ex.dataset_config_from_mapping(mapping)
+    assert (data.n_train, data.n_val, data.n_probe, data.seed) == (2000, 400, 400, 7)
 
 
 def test_missing_dataset_exit_1(workspace, tmp_path):

@@ -16,14 +16,14 @@ def test_identity_kernel_is_identity():
     k = np.zeros((3, 3, 1, 1))
     for i in range(3):
         k[i, i, 0, 0] = 1.0
-    out = eq.conv_layer(field, Tensor(k))
+    out = eq.ConvLayer(Tensor(k))(field)
     np.testing.assert_array_equal(out.values.data, field.values.data)
 
 
 def test_relu_activation_nonnegative():
     rng = np.random.default_rng(1)
     field = _rand_field(rng)
-    out = eq.conv_layer(field, Tensor(rng.normal(size=(4, 2, 3, 3))), activation="relu")
+    out = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), activation="relu")(field)
     assert np.all(out.values.data >= 0)
 
 
@@ -31,31 +31,29 @@ def test_conv_layer_vs_loop_oracle():
     rng = np.random.default_rng(2)
     field = _rand_field(rng, c=2, h=6, w=6)
     k = rng.normal(size=(3, 2, 3, 3))
-    out = eq.conv_layer(field, Tensor(k), stride=1, padding=1)
+    out = eq.ConvLayer(Tensor(k), stride=1, padding=1)(field)
     want = naive_correlate2d(field.values.data, k, stride=1, padding=1)
     np.testing.assert_array_equal(out.values.data, want)
 
 
 def test_max_pool_examples():
-    out = eq.max_pool_layer(
-        eq.FeatureField(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))), 2, 2
-    )
+    out = eq.MaxPoolLayer(2, 2)(eq.FeatureField(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))))
     assert out.values.data.reshape(()) == 4.0
 
-    const = eq.max_pool_layer(eq.FeatureField(Tensor(np.full((2, 6, 6), 1.5))), 2, 2)
+    const = eq.MaxPoolLayer(2, 2)(eq.FeatureField(Tensor(np.full((2, 6, 6), 1.5))))
     np.testing.assert_array_equal(const.values.data, np.full((2, 3, 3), 1.5))
 
 
 def test_max_pool_vs_oracle():
     rng = np.random.default_rng(3)
     field = _rand_field(rng, c=2, h=7, w=7)
-    out = eq.max_pool_layer(field, 3, 2)
+    out = eq.MaxPoolLayer(3, 2)(field)
     np.testing.assert_array_equal(out.values.data, naive_max_pool(field.values.data, 3, 2))
 
 
 def test_pool_window_error():
     with pytest.raises(ValueError):
-        eq.max_pool_layer(eq.FeatureField(Tensor(np.zeros((1, 3, 3)))), 4, 1)
+        eq.MaxPoolLayer(4, 1)(eq.FeatureField(Tensor(np.zeros((1, 3, 3)))))
 
 
 def test_translate_zero_fill():

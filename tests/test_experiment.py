@@ -129,7 +129,7 @@ def test_zero_entropy_weight_matches_hand_rolled_margin_loop(tiny_dataset, tmp_p
 
     data = ds.load_dataset(cfg.dataset_dir)
     model = ex.build_model(cfg)
-    adam = Adam(model.parameters(), lr=cfg.lr)
+    adam = Adam(model.params.values(), lr=cfg.lr)
     images = data.images_float("train", dtype=cfg.dtype)
     labels = data.labels["train"].astype(np.int64)
     for epoch in range(cfg.epochs):
@@ -141,7 +141,7 @@ def test_zero_entropy_weight_matches_hand_rolled_margin_loop(tiny_dataset, tmp_p
             loss.backward()
             adam.step()
             adam.zero_grad()
-    for name, tensor in model.named_parameters():
+    for name, tensor in model.params.items():
         np.testing.assert_array_equal(tensor.data.astype(np.float64), got[name])
 
 

@@ -151,13 +151,6 @@ def test_fixed_mode_constant():
         assert abs(w.w_cls + w.w_ent - 1.0) <= 1e-9
 
 
-def test_unweighted_classification_ramp():
-    sched = ls.LossSchedule("linear_ramp_unweighted", 0.0, 0.8, 30)
-    w = ls.schedule_weights(29, sched)
-    assert w.w_cls == 1.0
-    assert w.w_ent == pytest.approx(0.8)
-
-
 def test_schedule_monotone_in_entropy_weight():
     sched = _ramp(total=30)
     weights = [ls.schedule_weights(e, sched).w_ent for e in range(30)]

@@ -124,7 +124,7 @@ def test_predict_dim_mismatch_error():
 
 
 # ---------------------------------------------------------------------------
-# dynamic_route / equal_route
+# dynamic_route / equal_route_traced
 
 
 def _random_stack(rng, I=2, J=3, D=2, H=2, W=2, scale=1.0):
@@ -135,7 +135,7 @@ def test_one_iteration_equals_equal_route_bitwise():
     rng = np.random.default_rng(4)
     S = _random_stack(rng)
     routed, _ = rt.dynamic_route(S, 1)
-    equal = rt.equal_route(S)
+    equal, _ = rt.equal_route_traced(S)
     np.testing.assert_array_equal(routed.values.data, equal.values.data)
 
 
@@ -172,7 +172,7 @@ def test_zero_iterations_rejected():
 def test_equal_route_single_input_type():
     rng = np.random.default_rng(7)
     S = _random_stack(rng, I=1, J=3)
-    out = rt.equal_route(S).values.data
+    out = rt.equal_route_traced(S)[0].values.data
     want = rt.squash(ad.scale(Tensor(S.values.data[0]), 1.0 / 3.0), axis=-3).data
     np.testing.assert_allclose(out, want, atol=1e-15)
 
@@ -180,7 +180,7 @@ def test_equal_route_single_input_type():
 def test_equal_route_vs_loop_oracle():
     rng = np.random.default_rng(8)
     S = _random_stack(rng, I=3, J=2, D=3, H=2, W=2)
-    out = rt.equal_route(S).values.data
+    out = rt.equal_route_traced(S)[0].values.data
     np.testing.assert_allclose(out, naive_equal_route(S.values.data), atol=1e-12)
 
 
