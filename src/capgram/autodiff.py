@@ -93,9 +93,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data)
-
     def backward(self):
         """Reverse-mode sweep from a scalar loss.
 
@@ -164,20 +161,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    """Create a leaf tensor; dtype defaults to float64 (wide precision)."""
-    arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(WIDE)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
-def reset_grads(tensors):
-    """Clear accumulated gradients on the given tensors."""
-    for t in tensors:
-        t.zero_grad()
 
 
 def _as_tensor(x, like=None):

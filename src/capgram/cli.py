@@ -84,8 +84,8 @@ def _checkpoint_path(args):
 
 
 def _cmd_generate(args, mapping):
-    out = _out_dir(args, mapping)
     cfg = ex.dataset_config_from_mapping(mapping, seed=args.seed)
+    out = _out_dir(args, mapping)
     ds.generate_dataset(cfg, out_dir=out)
     print(f"wrote dataset ({cfg.n_train} train / {cfg.n_val} val / {cfg.n_probe} probe) to {out}")
 

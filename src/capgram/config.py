@@ -5,8 +5,8 @@ Example::
     # capsule run
     run.seed = 7
     model.kind = capsnet
-    loss.mode = fixed
-    loss.w_ent = 0.4
+    loss.w_ent_start = 0.4
+    loss.w_ent_end = 0.4
 
 Blank lines and '#' comments are ignored; values stay strings until a
 consumer types them.
@@ -45,20 +45,9 @@ def load_flat(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def typed(mapping, key, kind, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
+def typed(mapping, key, kind):
     raw = mapping[key]
     try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc

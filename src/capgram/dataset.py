@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import grammar as gr
+from .config import ConfigError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -40,6 +41,17 @@ class DatasetConfig:
     # so it is recorded in config.json; bundles written before it was recorded
     # carry no key and were generated with 8
     distractor_families: int = 8
+
+    def __post_init__(self):
+        if self.n_train < 1 or self.n_val < 1:
+            raise ConfigError(
+                f"dataset.n_train and dataset.n_val must be at least 1, "
+                f"got {self.n_train} and {self.n_val}"
+            )
+        if self.n_probe < 0:
+            raise ConfigError(f"dataset.n_probe must be non-negative, got {self.n_probe}")
+        if self.n_probe and FACE_LABEL not in _labels_for(self.n_val, self.face_fraction):
+            raise ConfigError("probe split requested but the val split has no faces")
 
 
 @dataclass
@@ -186,8 +198,6 @@ def generate_dataset(config=None, out_dir=None):
         labels[split] = np.array(split_labels, dtype=np.uint8)
         manifests[split] = recs
 
-    if config.n_probe and not val_faces:
-        raise ValueError("probe split requested but the val split has no faces")
     probe_imgs = np.zeros((config.n_probe, config.canvas, config.canvas), dtype=np.uint8)
     probe_recs = []
     for k in range(config.n_probe):
@@ -227,7 +237,11 @@ def load_dataset(path):
     if not cfg_path.exists():
         raise ValueError(f"{root}: not a dataset directory (missing config.json)")
     with open(cfg_path) as fh:
-        config = DatasetConfig(**json.load(fh))
+        recorded = json.load(fh)
+    unknown = set(recorded) - {f.name for f in fields(DatasetConfig)}
+    if unknown:
+        raise ConfigError(f"{cfg_path}: unknown config keys: {sorted(unknown)}")
+    config = DatasetConfig(**recorded)
     images = {}
     labels = {}
     manifests = {}

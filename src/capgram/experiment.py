@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,9 @@ class RunConfig:
     seed: int = 7
     model_kind: str = "capsnet"  # capsnet | cnn
     routing_mode: str = "dynamic"  # dynamic | equal
-    iters: int = 3
-    loss_mode: str = "fixed"  # fixed | linear_ramp
-    w_ent: float = 0.0
+    # the entropy weight ramps w_ent_start -> w_ent_end; equal ends fix it
     w_ent_start: float = 0.0
-    w_ent_end: float = 0.8
+    w_ent_end: float = 0.0
     epochs: int = 30
     batch_size: int = 32
     lr: float = 1e-3
@@ -50,8 +48,6 @@ class RunConfig:
             raise ConfigError(f"model.kind must be capsnet|cnn, got {self.model_kind!r}")
         if self.routing_mode not in ("dynamic", "equal"):
             raise ConfigError(f"model.routing must be dynamic|equal, got {self.routing_mode!r}")
-        if self.iters < 1:
-            raise ConfigError(f"model.iters must be at least 1, got {self.iters}")
         if self.precision not in ("narrow", "wide"):
             raise ConfigError(f"train.precision must be narrow|wide, got {self.precision!r}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -66,9 +62,7 @@ class RunConfig:
         return np.float32 if self.precision == "narrow" else np.float64
 
     def schedule(self):
-        if self.loss_mode == "fixed":
-            return ls.LossSchedule("fixed", self.w_ent, self.w_ent, self.epochs)
-        return ls.LossSchedule(self.loss_mode, self.w_ent_start, self.w_ent_end, self.epochs)
+        return ls.LossSchedule(self.w_ent_start, self.w_ent_end, self.epochs)
 
 
 CONFIG_KEYS = {
@@ -77,9 +71,6 @@ CONFIG_KEYS = {
     "run.seed": ("seed", int),
     "model.kind": ("model_kind", str),
     "model.routing": ("routing_mode", str),
-    "model.iters": ("iters", int),
-    "loss.mode": ("loss_mode", str),
-    "loss.w_ent": ("w_ent", float),
     "loss.w_ent_start": ("w_ent_start", float),
     "loss.w_ent_end": ("w_ent_end", float),
     "train.epochs": ("epochs", int),
@@ -92,25 +83,27 @@ DATASET_KEYS = {
     "dataset.n_train": ("n_train", int),
     "dataset.n_val": ("n_val", int),
     "dataset.n_probe": ("n_probe", int),
-    "dataset.face_fraction": ("face_fraction", float),
-    "dataset.canvas": ("canvas", int),
     "run.seed": ("seed", int),
 }
 
 
-def run_config_from_mapping(mapping, out_dir=None, seed=None):
+def _fields(mapping, keys, seed):
+    """Typed fields for ``keys``; a key that neither table knows is an error."""
     unknown = set(mapping) - set(CONFIG_KEYS) - set(DATASET_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, (fieldname, kind) in CONFIG_KEYS.items():
-        value = typed(mapping, key, kind)
-        if value is not None:
-            kwargs[fieldname] = value
-    if out_dir is not None:
-        kwargs["out_dir"] = str(out_dir)
+    kwargs = {
+        name: typed(mapping, key, kind) for key, (name, kind) in keys.items() if key in mapping
+    }
     if seed is not None:
         kwargs["seed"] = int(seed)
+    return kwargs
+
+
+def run_config_from_mapping(mapping, out_dir=None, seed=None):
+    kwargs = _fields(mapping, CONFIG_KEYS, seed)
+    if out_dir is not None:
+        kwargs["out_dir"] = str(out_dir)
     if "dataset_dir" not in kwargs:
         raise ConfigError("missing required config key 'dataset.dir'")
     if "out_dir" not in kwargs:
@@ -119,36 +112,19 @@ def run_config_from_mapping(mapping, out_dir=None, seed=None):
 
 
 def dataset_config_from_mapping(mapping, seed=None):
-    known = set(CONFIG_KEYS) | set(DATASET_KEYS)
-    unknown = set(mapping) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, (fieldname, kind) in DATASET_KEYS.items():
-        value = typed(mapping, key, kind)
-        if value is not None:
-            kwargs[fieldname] = value
-    if seed is not None:
-        kwargs["seed"] = int(seed)
-    return ds.DatasetConfig(**kwargs)
+    return ds.DatasetConfig(**_fields(mapping, DATASET_KEYS, seed))
 
 
 # experiment matrix naming mirrors the regularization variants compared in
 # the probe study: unregularized, two fixed mixes, a ramp schedule, uniform
 # routing, and the convolutional baseline
 VARIANTS = {
-    "unregcaps": dict(model_kind="capsnet", routing_mode="dynamic", loss_mode="fixed", w_ent=0.0),
-    "0.4caps": dict(model_kind="capsnet", routing_mode="dynamic", loss_mode="fixed", w_ent=0.4),
-    "0.8caps": dict(model_kind="capsnet", routing_mode="dynamic", loss_mode="fixed", w_ent=0.8),
-    "schcaps": dict(
-        model_kind="capsnet",
-        routing_mode="dynamic",
-        loss_mode="linear_ramp",
-        w_ent_start=0.0,
-        w_ent_end=0.8,
-    ),
-    "equalcaps": dict(model_kind="capsnet", routing_mode="equal", loss_mode="fixed", w_ent=0.0),
-    "cnn": dict(model_kind="cnn", loss_mode="fixed", w_ent=0.0),
+    "unregcaps": dict(model_kind="capsnet", routing_mode="dynamic"),
+    "0.4caps": dict(model_kind="capsnet", routing_mode="dynamic", w_ent_start=0.4, w_ent_end=0.4),
+    "0.8caps": dict(model_kind="capsnet", routing_mode="dynamic", w_ent_start=0.8, w_ent_end=0.8),
+    "schcaps": dict(model_kind="capsnet", routing_mode="dynamic", w_ent_start=0.0, w_ent_end=0.8),
+    "equalcaps": dict(model_kind="capsnet", routing_mode="equal"),
+    "cnn": dict(model_kind="cnn"),
 }
 
 
@@ -163,9 +139,8 @@ def variant_config(name, dataset_dir, out_dir, seed=7, **overrides):
 def build_model(cfg):
     if cfg.model_kind == "cnn":
         return md.build_cnn(seed=cfg.seed, dtype=cfg.dtype)
-    base = md.CapsNetConfig(routing_mode=cfg.routing_mode)
-    routed = tuple(replace(spec, iters=cfg.iters) for spec in base.routed)
-    return md.build_capsnet(replace(base, routed=routed), seed=cfg.seed, dtype=cfg.dtype)
+    caps_cfg = md.CapsNetConfig(routing_mode=cfg.routing_mode)
+    return md.build_capsnet(caps_cfg, seed=cfg.seed, dtype=cfg.dtype)
 
 
 def _epoch_rng(seed, epoch):

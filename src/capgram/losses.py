@@ -2,8 +2,8 @@
 
 The entropy term sums the mean coefficient-row entropies of every routing
 layer; driving it down pushes each shallow capsule toward a single strong
-parent. The combination weight can be fixed or follow a schedule that
-ramps the entropy weight up over training.
+parent. The entropy weight follows a linear schedule over training; a
+schedule whose two ends are equal holds it fixed.
 """
 
 from __future__ import annotations
@@ -35,19 +35,15 @@ class LossWeights:
 class LossSchedule:
     """Per-epoch weighting of the classification/entropy mix.
 
-    modes:
-      fixed           -- constant (1 - w_ent_end, w_ent_end)
-      linear_ramp     -- w_ent ramps start -> end, w_cls = 1 - w_ent
+    w_ent ramps linearly from w_ent_start at the first epoch to w_ent_end at
+    the last, and w_cls = 1 - w_ent; equal ends hold the weight fixed.
     """
 
-    mode: str = "fixed"
     w_ent_start: float = 0.0
     w_ent_end: float = 0.0
     total_epochs: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "linear_ramp"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
         if not (0.0 <= self.w_ent_start <= 1.0 and 0.0 <= self.w_ent_end <= 1.0):
             raise ValueError(f"entropy weights must lie in [0, 1]: {self}")
         if self.w_ent_start > self.w_ent_end:
@@ -63,8 +59,6 @@ def schedule_weights(epoch, schedule):
         raise ValueError(
             f"epoch {epoch} out of range for {schedule.total_epochs} epochs"
         )
-    if schedule.mode == "fixed":
-        return LossWeights(1.0 - schedule.w_ent_end, schedule.w_ent_end)
     if schedule.total_epochs == 1:
         w_ent = schedule.w_ent_end
     else:

@@ -295,7 +295,7 @@ def test_backward_accumulates_and_resets():
     loss2 = ad.reduce_sum(x)
     loss2.backward()
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
-    ad.reset_grads([x])
+    x.zero_grad()
     assert x.grad is None
 
 

@@ -18,8 +18,8 @@ def _write_config(path, dataset_dir, **extra):
         "dataset.n_probe": 8,
         "run.seed": 3,
         "model.kind": "capsnet",
-        "loss.mode": "fixed",
-        "loss.w_ent": 0.4,
+        "loss.w_ent_start": 0.4,
+        "loss.w_ent_end": 0.4,
         "train.epochs": 1,
         "train.batch": 8,
         "train.precision": "narrow",
@@ -118,18 +118,27 @@ def test_usage_errors_exit_1(workspace, tmp_path, capsys):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("dataset.dir = d\nwhat.is = this\n")
     assert cli.main(["train", "--config", str(unknown), "--out", "x"]) == 1
-    # run settings that only the loss schedule or routing could reject are
-    # refused before the dataset loads, not mid-training as runtime failures
+    # run settings that only the loss schedule could reject, and keys that
+    # were removed, are refused before the dataset loads, not mid-training
     data = workspace[2]
     invalid = (
-        {"loss.w_ent": 1.5},
-        {"loss.mode": "linear_ramp", "loss.w_ent_start": 0.8, "loss.w_ent_end": 0.2},
+        {"loss.w_ent_start": 1.5, "loss.w_ent_end": 1.5},
+        {"loss.w_ent_start": 0.8, "loss.w_ent_end": 0.2},
+        {"loss.mode": "linear_ramp"},
         {"model.iters": 0},
     )
     for i, extra in enumerate(invalid):
         cfg = _write_config(tmp_path / f"invalid{i}.cfg", data, **extra)
+        capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        if i >= 2:
+            assert f"unknown config keys: {list(extra)}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+    # dataset sizes that cannot be generated are refused before --out exists
+    for i, extra in enumerate(({"dataset.n_train": -4}, {"dataset.n_val": 0})):
+        cfg = _write_config(tmp_path / f"gen{i}.cfg", data, **extra)
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 1
+    assert not (tmp_path / "g").exists()
 
 
 def test_readme_complete_config_parses():
@@ -137,7 +146,7 @@ def test_readme_complete_config_parses():
     block = readme.split("A complete config:\n\n```\n", 1)[1].split("```", 1)[0]
     mapping = parse_flat(block)
     run = ex.run_config_from_mapping(mapping)
-    assert (run.model_kind, run.routing_mode, run.loss_mode) == ("capsnet", "dynamic", "linear_ramp")
+    assert (run.model_kind, run.routing_mode) == ("capsnet", "dynamic")
     assert (run.w_ent_start, run.w_ent_end, run.precision) == (0.0, 0.8, "narrow")
     data = ex.dataset_config_from_mapping(mapping)
     assert (data.n_train, data.n_val, data.n_probe, data.seed) == (2000, 400, 400, 7)
@@ -147,6 +156,18 @@ def test_missing_dataset_exit_1(workspace, tmp_path):
     root, cfg, data, run = workspace
     cfg2 = _write_config(tmp_path / "c.cfg", tmp_path / "nonexistent")
     assert cli.main(["train", "--config", str(cfg2), "--out", str(tmp_path / "r")]) == 1
+
+
+def test_unknown_dataset_config_json_key_exit_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "c.cfg", data)
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    recorded = json.loads((data / "config.json").read_text())
+    recorded["glyph_size"] = 5
+    (data / "config.json").write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert "unknown config keys: ['glyph_size']" in capsys.readouterr().err
 
 
 def test_bad_subcommand_exit_1(capsys):

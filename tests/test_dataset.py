@@ -7,6 +7,7 @@ import pytest
 
 from capgram import dataset as ds
 from capgram import grammar as gr
+from capgram.config import ConfigError
 
 SMALL = ds.DatasetConfig(n_train=40, n_val=20, n_probe=20, seed=42)
 
@@ -179,6 +180,25 @@ def test_idx_labels_round_trip_and_magic(tmp_path):
 def test_load_missing_dir_errors(tmp_path):
     with pytest.raises(ValueError, match="missing config.json"):
         ds.load_dataset(tmp_path / "nope")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(n_train=0), "n_train"),
+        (dict(n_train=-4), "n_train"),
+        (dict(n_val=0), "n_val"),
+        (dict(n_probe=-1), "n_probe"),
+        (dict(n_val=1, n_probe=4), "no faces"),
+    ],
+)
+def test_config_rejects_sizes_it_cannot_generate(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        replace(SMALL, **fields)
+
+
+def test_config_allows_no_probe_without_val_faces():
+    assert ds.generate_dataset(replace(SMALL, n_val=1, n_probe=0)).images["probe"].shape[0] == 0
 
 
 def test_images_float_range():

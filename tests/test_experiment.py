@@ -46,12 +46,12 @@ def test_parse_flat_rejects_bad_lines():
 
 def test_run_config_from_mapping_roundtrip():
     mapping = parse_flat(
-        "dataset.dir = d\nrun.out = o\nrun.seed = 5\nloss.mode = linear_ramp\n"
+        "dataset.dir = d\nrun.out = o\nrun.seed = 5\n"
         "loss.w_ent_end = 0.8\ntrain.epochs = 3\ntrain.precision = wide\n"
     )
     cfg = ex.run_config_from_mapping(mapping)
     assert cfg.seed == 5
-    assert cfg.loss_mode == "linear_ramp"
+    assert (cfg.w_ent_start, cfg.w_ent_end) == (0.0, 0.8)
     assert cfg.dtype == np.float64
     sched = cfg.schedule()
     assert sched.total_epochs == 3
@@ -71,8 +71,10 @@ def test_variant_configs_cover_matrix():
     for name in ("unregcaps", "0.4caps", "0.8caps", "schcaps", "equalcaps", "cnn"):
         cfg = ex.variant_config(name, "d", "o")
         assert cfg.epochs == 30 and cfg.batch_size == 32
-    assert ex.variant_config("0.8caps", "d", "o").w_ent == 0.8
-    assert ex.variant_config("schcaps", "d", "o").loss_mode == "linear_ramp"
+    sched = ex.variant_config("0.8caps", "d", "o").schedule()
+    assert (sched.w_ent_start, sched.w_ent_end) == (0.8, 0.8)
+    sched = ex.variant_config("schcaps", "d", "o").schedule()
+    assert (sched.w_ent_start, sched.w_ent_end) == (0.0, 0.8)
     assert ex.variant_config("equalcaps", "d", "o").routing_mode == "equal"
     with pytest.raises(ConfigError, match="unknown variant"):
         ex.variant_config("megacaps", "d", "o")

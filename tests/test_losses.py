@@ -124,7 +124,7 @@ def test_combined_linear_in_both():
 
 
 def _ramp(total=50, end=0.8):
-    return ls.LossSchedule("linear_ramp", 0.0, end, total)
+    return ls.LossSchedule(0.0, end, total)
 
 
 def test_ramp_start_is_pure_classification():
@@ -144,7 +144,7 @@ def test_ramp_midpoint_value():
 
 
 def test_fixed_mode_constant():
-    sched = ls.LossSchedule("fixed", 0.4, 0.4, 30)
+    sched = ls.LossSchedule(0.4, 0.4, 30)
     for epoch in (0, 15, 29):
         w = ls.schedule_weights(epoch, sched)
         assert (w.w_cls, w.w_ent) == (0.6, 0.4)
@@ -166,9 +166,7 @@ def test_epoch_out_of_range():
 
 def test_invalid_schedules_rejected():
     with pytest.raises(ValueError):
-        ls.LossSchedule("quadratic", 0, 0.8, 10)
-    with pytest.raises(ValueError):
-        ls.LossSchedule("linear_ramp", 0.9, 0.1, 10)
+        ls.LossSchedule(0.9, 0.1, 10)
     with pytest.raises(ValueError):
         ls.LossWeights(-0.1, 0.5)
 
