@@ -3,6 +3,7 @@
 Shifting the input then applying a layer matches applying the layer then
 shifting the output (on the interior the padding never touched). Strided
 layers are equivariant to shifts that are multiples of their stride.
+Layers take and return plain tensors [channels, H, W] (or [N, channels, H, W]).
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from capgram import equivariant as eq
 from capgram.autodiff import Tensor
 
 rng = np.random.default_rng(3)
-field = eq.FeatureField(Tensor(rng.normal(size=(2, 12, 12))))
+x = Tensor(rng.normal(size=(2, 12, 12)))
 
 conv = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), stride=1, activation="relu")
 conv_padded = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), stride=1, padding=1)
@@ -27,12 +28,12 @@ cases = [
 ]
 print(f"{'case':34s} max abs deviation on interior")
 for name, layer, shift in cases:
-    dev = eq.check_translation_equivariance(layer, field, shift)
+    dev = eq.check_translation_equivariance(layer, x, shift)
     print(f"{name:34s} {dev:.3e}")
     assert dev < 1e-10
 
 print("\nA shift that is not a stride multiple is rejected:")
 try:
-    eq.check_translation_equivariance(strided, field, (1, 0))
+    eq.check_translation_equivariance(strided, x, (1, 0))
 except ValueError as exc:
     print("  ValueError:", exc)

@@ -17,29 +17,31 @@ from pathlib import Path
 from capgram import dataset as ds
 from capgram import experiment as ex
 
-root = Path(tempfile.mkdtemp(prefix="capgram_demo_"))
-data_dir = root / "data"
-print(f"workspace: {root}")
+# the workspace (dataset, checkpoints, metrics) is removed on exit
+with tempfile.TemporaryDirectory(prefix="capgram_demo_") as tmp:
+    root = Path(tmp)
+    data_dir = root / "data"
+    print(f"workspace: {root}")
 
-bundle = ds.generate_dataset(
-    ds.DatasetConfig(n_train=600, n_val=200, n_probe=200, seed=42), out_dir=data_dir
-)
-face_share = float((bundle.labels["val"] == ds.FACE_LABEL).mean())
-chance = max(face_share, 1.0 - face_share)
-print("dataset: 600 train / 200 val / 200 part-swapped probes\n")
-
-results = {}
-for variant in ("unregcaps", "0.8caps"):
-    cfg = ex.variant_config(variant, data_dir, root / variant, seed=7, epochs=12)
-    t0 = time.time()
-    summary = ex.train(cfg, log=lambda m: None)
-    ev = ex.evaluate(cfg, summary["final_checkpoint"], split="val")
-    report = ex.probe(cfg, summary["final_checkpoint"])
-    results[variant] = (ev, report)
-    print(
-        f"{variant:10s} trained in {time.time() - t0:5.1f}s  "
-        f"val acc {ev['accuracy']:.3f}  routing entropy {ev['entropy_total']:.3f} nats"
+    bundle = ds.generate_dataset(
+        ds.DatasetConfig(n_train=600, n_val=200, n_probe=200, seed=42), out_dir=data_dir
     )
+    face_share = float((bundle.labels["val"] == ds.FACE_LABEL).mean())
+    chance = max(face_share, 1.0 - face_share)
+    print("dataset: 600 train / 200 val / 200 part-swapped probes\n")
+
+    results = {}
+    for variant in ("unregcaps", "0.8caps"):
+        cfg = ex.variant_config(variant, data_dir, root / variant, seed=7, epochs=12)
+        t0 = time.time()
+        summary = ex.train(cfg, log=lambda m: None)
+        ev = ex.evaluate(cfg, summary["final_checkpoint"], split="val")
+        report = ex.probe(cfg, summary["final_checkpoint"])
+        results[variant] = (ev, report)
+        print(
+            f"{variant:10s} trained in {time.time() - t0:5.1f}s  "
+            f"val acc {ev['accuracy']:.3f}  routing entropy {ev['entropy_total']:.3f} nats"
+        )
 
 print("\nface activation on intact vs part-swapped faces:")
 print(f"{'variant':12s} {'intact':>8s} {'swapped':>9s} {'drop':>8s}")

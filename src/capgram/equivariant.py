@@ -1,57 +1,24 @@
 """Convolutional layers on the 2-D translation group.
 
-A feature field samples a function on translations of an H x W grid, one
-scalar per channel. Correlation layers and two-step max-pooling (window
-maximum over a coset, then subsampling onto the stride subgroup) come with
-a test surface that measures translation equivariance on the interior
-region unaffected by zero padding.
+Layers take and return plain tensors [..., channels, H, W]: a function
+sampled on translations of an H x W grid, one scalar per channel.
+Correlation layers and two-step max-pooling (window maximum over a coset,
+then subsampling onto the stride subgroup) come with a test surface that
+measures translation equivariance on the interior region unaffected by
+zero padding.
 
 The definitions are group-general; only the translation instance is built.
-A p4 (quarter-rotation) extension would add a group axis to the field and
+A p4 (quarter-rotation) extension would add a group axis to the tensors and
 rotate kernels in the correlation — the interfaces here leave that slot
 open but do not implement it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-@dataclass
-class FeatureField:
-    """Per-channel scalar field over grid translations.
-
-    values has shape [..., channels, H, W]; a leading batch axis is allowed.
-    """
-
-    values: Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.values, Tensor):
-            self.values = Tensor(self.values)
-        if self.values.ndim < 3:
-            raise ValueError(f"field needs [..., C, H, W], got {self.values.shape}")
-        if min(self.values.shape[-3:]) < 1:
-            raise ValueError(f"extents must be positive, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values.data)):
-            raise ValueError("field values must be finite")
-
-    @property
-    def channels(self):
-        return self.values.shape[-3]
-
-    @property
-    def height(self):
-        return self.values.shape[-2]
-
-    @property
-    def width(self):
-        return self.values.shape[-1]
 
 
 class ConvLayer:
@@ -68,13 +35,13 @@ class ConvLayer:
         self.activation = activation
         self.bias = bias
 
-    def __call__(self, field):
-        out = ad.correlate2d(field.values, self.kernels, self.stride, self.padding)
+    def __call__(self, x):
+        out = ad.correlate2d(x, self.kernels, self.stride, self.padding)
         if self.bias is not None:
             out = ad.add(out, ad.reshape(self.bias, (self.bias.shape[0], 1, 1)))
         if self.activation == "relu":
             out = ad.relu(out)
-        return FeatureField(out)
+        return out
 
 
 class MaxPoolLayer:
@@ -86,8 +53,8 @@ class MaxPoolLayer:
         self.window = int(window)
         self.stride = int(stride)
 
-    def __call__(self, field):
-        return FeatureField(ad.max_pool_window(field.values, self.window, self.stride))
+    def __call__(self, x):
+        return ad.max_pool_window(x, self.window, self.stride)
 
 
 def translate(values, dy, dx):
@@ -103,11 +70,7 @@ def translate(values, dy, dx):
     return out
 
 
-def translate_field(field, dy, dx):
-    return FeatureField(Tensor(translate(field.values.data, dy, dx)))
-
-
-def check_translation_equivariance(layer, field, shift):
+def check_translation_equivariance(layer, x, shift):
     """Max abs deviation between layer(translate(f)) and translate(layer(f)).
 
     Compared on the interior region unaffected by zero padding and by the
@@ -120,8 +83,8 @@ def check_translation_equivariance(layer, field, shift):
     if dy % stride or dx % stride:
         raise ValueError(f"shift {shift} must be a multiple of stride {stride}")
     with ad.no_grad():
-        out_base = layer(field).values.data
-        out_shifted = layer(translate_field(field, dy, dx)).values.data
+        out_base = layer(x).data
+        out_shifted = layer(Tensor(translate(x.data, dy, dx))).data
     dyo, dxo = dy // stride, dx // stride
     target = translate(out_base, dyo, dxo)
     border = -(-padding // stride)  # ceil: outputs whose window touched padding

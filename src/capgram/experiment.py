@@ -52,6 +52,11 @@ class RunConfig:
             raise ConfigError(f"train.precision must be narrow|wide, got {self.precision!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("train.epochs and train.batch must be positive")
+        if self.model_kind == "cnn" and self.w_ent_end > 0.0:
+            raise ConfigError(
+                f"loss.w_ent_end must be 0 for model.kind cnn (no routing entropy), "
+                f"got {self.w_ent_end}"
+            )
         try:
             self.schedule()
         except ValueError as exc:
@@ -184,19 +189,14 @@ def train(cfg, log=print):
                 try:
                     out = model.forward(batch)
                     margin = ls.margin_loss(out.class_activations, targets)
-                    if out.traces:
-                        entropy_value = float(sum(t.entropy_mean[-1] for t in out.traces))
-                        if weights.w_ent > 0.0:
-                            total = ls.combined_loss(
-                                margin, ls.entropy_loss(out.traces), weights
-                            )
-                        else:
-                            # reported but kept out of the graph: a w_ent = 0
-                            # run is bit-identical to a margin-only run
-                            total = ad.scale(margin, weights.w_cls)
+                    # the CNN has no traces, and RunConfig holds its w_ent at 0
+                    entropy_value = float(sum(t.entropy_mean[-1] for t in out.traces))
+                    if weights.w_ent > 0.0:
+                        total = ls.combined_loss(margin, ls.entropy_loss(out.traces), weights)
                     else:
-                        entropy_value = 0.0
-                        total = margin
+                        # reported but kept out of the graph: a w_ent = 0
+                        # run is bit-identical to a margin-only run
+                        total = ad.scale(margin, weights.w_cls)
                 except ValueError as exc:
                     # diverged activations trip the finiteness guards inside
                     # softmax/log before the loss itself is evaluated

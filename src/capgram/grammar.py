@@ -4,7 +4,7 @@ An AND-rule composes a symbol from child symbols at fixed offsets (with
 optional integer jitter); an OR-rule picks one alternative per likelihood.
 Leaves are glyph ids that index fixed 7x7 bitmaps stamped additively onto
 the canvas and clamped to [0, 1]. Sampling records every placed part's
-bounding box and the derivation, so a scene can be replayed bit-exactly.
+bounding box, in stamping order, so a scene can be replayed bit-exactly.
 
 The part-swap corruption exchanges the contents of two part boxes
 (nearest-neighbour resized when extents differ), which preserves the parts
@@ -13,7 +13,7 @@ but violates the composition — the probe for parse-tree-like models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +224,6 @@ class PartBox:
 class SceneManifest:
     label: int
     parts: list
-    derivation: dict
     swap: tuple | None = None
 
 
@@ -320,8 +319,7 @@ def sample_scene(grammar, rng, canvas=32, label=0):
     canvas_failures = 0
     for _ in range(OVERLAP_RETRIES + 1):
         parts = []
-        derivation = _expand(grammar, grammar.start, center, rng, (H, W), parts)
-        if derivation is None:
+        if not _expand(grammar, grammar.start, center, rng, (H, W), parts):
             canvas_failures += 1
             if canvas_failures > JITTER_RETRIES:
                 raise ValueError(
@@ -335,7 +333,7 @@ def sample_scene(grammar, rng, canvas=32, label=0):
             for j in range(i + 1, len(boxes))
         )
         if ok:
-            manifest = SceneManifest(label=label, parts=parts, derivation=derivation)
+            manifest = SceneManifest(label=label, parts=parts)
             return render_manifest(grammar, manifest, canvas), manifest
     raise ValueError(
         f"boxes still overlap too much after {OVERLAP_RETRIES} jitter resamples"
@@ -343,6 +341,7 @@ def sample_scene(grammar, rng, canvas=32, label=0):
 
 
 def _expand(grammar, symbol, center, rng, extent, parts, part_name=None):
+    """Append the symbol's placed parts to ``parts``; False if one left the canvas."""
     if isinstance(symbol, (int, np.integer)):
         glyph = int(symbol)
         bitmap = grammar.terminals[glyph]
@@ -351,29 +350,21 @@ def _expand(grammar, symbol, center, rng, extent, parts, part_name=None):
         x0 = center[1] - gw // 2
         box = (y0, x0, y0 + gh, x0 + gw)
         if y0 < 0 or x0 < 0 or box[2] > extent[0] or box[3] > extent[1]:
-            return None  # outside the canvas: caller resamples jitter
+            return False  # outside the canvas: caller resamples jitter
         parts.append(PartBox(name=part_name or str(glyph), glyph=glyph, box=box))
-        return {"glyph": glyph, "center": list(center)}
+        return True
     if symbol in grammar.or_rules:
         alts = grammar.or_rules[symbol]
         probs = np.array([p for _, p in alts])
         choice = int(rng.choice(len(alts), p=probs))
-        sub = _expand(
-            grammar, alts[choice][0], center, rng, extent, parts, part_name=symbol
-        )
-        if sub is None:
-            return None
-        return {"symbol": symbol, "rule": "or", "choice": choice, "child": sub}
-    children = []
+        return _expand(grammar, alts[choice][0], center, rng, extent, parts, part_name=symbol)
     for child, (dy, dx), jitter in grammar.and_rules[symbol]:
         jy = int(rng.integers(-jitter, jitter + 1)) if jitter else 0
         jx = int(rng.integers(-jitter, jitter + 1)) if jitter else 0
         pos = (center[0] + dy + jy, center[1] + dx + jx)
-        sub = _expand(grammar, child, pos, rng, extent, parts, part_name=part_name)
-        if sub is None:
-            return None
-        children.append({"offset": [dy, dx], "jitter": [jy, jx], "child": sub})
-    return {"symbol": symbol, "rule": "and", "children": children}
+        if not _expand(grammar, child, pos, rng, extent, parts, part_name=part_name):
+            return False
+    return True
 
 
 def render_manifest(grammar, manifest, canvas=32):
@@ -429,7 +420,6 @@ def part_swap(image, manifest, rng):
     swapped = SceneManifest(
         label=manifest.label,
         parts=new_parts,
-        derivation=manifest.derivation,
         swap=(i, j),
     )
     return out, swapped

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import routing as rt
 from .autodiff import Tensor
-from .equivariant import ConvLayer, FeatureField, MaxPoolLayer
+from .equivariant import ConvLayer, MaxPoolLayer
 
 CHECKPOINT_MAGIC = b"CGL1"
 
@@ -129,22 +129,22 @@ class _Model:
                 raise ValueError(f"{prefix}.{n} shrinks extent to {extent}")
         return extent, channels
 
-    def _conv_layer(self, prefix, field, stride=1, padding=0, activation="none"):
+    def _conv_layer(self, prefix, x, stride=1, padding=0, activation="none"):
         p = self.params
         layer = ConvLayer(
             p[f"{prefix}.kernels"], stride, padding, activation, bias=p[f"{prefix}.bias"]
         )
-        return layer(field)
+        return layer(x)
 
-    def _run_stack(self, prefix, specs, field):
+    def _run_stack(self, prefix, specs, x):
         for n, spec in enumerate(specs):
             if isinstance(spec, PoolSpec):
-                field = MaxPoolLayer(spec.window, spec.stride)(field)
+                x = MaxPoolLayer(spec.window, spec.stride)(x)
             else:
-                field = self._conv_layer(
-                    f"{prefix}.{n}", field, spec.stride, spec.padding, spec.activation
+                x = self._conv_layer(
+                    f"{prefix}.{n}", x, spec.stride, spec.padding, spec.activation
                 )
-        return field
+        return x
 
 
 class CapsNet(_Model):
@@ -183,12 +183,11 @@ class CapsNet(_Model):
 
     def forward(self, batch):
         cfg = self.cfg
-        field = FeatureField(_check_batch(batch, cfg, self.dtype))
-        field = self._run_stack("stem", cfg.stem, field)
-        prim = self._conv_layer("primary", field, cfg.primary_stride).values
+        x = self._run_stack("stem", cfg.stem, _check_batch(batch, cfg, self.dtype))
+        prim = self._conv_layer("primary", x, cfg.primary_stride)
         B, _, Hp, Wp = prim.shape
         caps = ad.reshape(prim, (B, cfg.primary_types, cfg.primary_dim, Hp, Wp))
-        caps = rt.CapsuleField(rt.squash(caps, axis=-3))
+        caps = rt.squash(caps, axis=-3)
         traces = []
         for n, spec in enumerate(cfg.routed):
             S = rt.predict(caps, self.params[f"routed.{n}.filters"], spec.stride, 0)
@@ -199,7 +198,7 @@ class CapsNet(_Model):
             traces.append(trace)
         # class capsules are [B, K, D, 1, 1]: spatial mean is trivial by
         # construction, then the vector norm is the class activation
-        agg = ad.reduce_mean(caps.values, axis=(-2, -1))
+        agg = ad.reduce_mean(caps, axis=(-2, -1))
         acts = ad.l2_norm(agg, axis=-1, epsilon=1e-8)
         return ModelOutput(class_activations=acts, traces=traces)
 
@@ -211,9 +210,8 @@ class CNN(_Model):
         self._conv("head", cfg.n_classes, ch, extent)
 
     def forward(self, batch):
-        field = FeatureField(_check_batch(batch, self.cfg, self.dtype))
-        field = self._run_stack("layers", self.cfg.layers, field)
-        scores = self._conv_layer("head", field).values
+        x = self._run_stack("layers", self.cfg.layers, _check_batch(batch, self.cfg, self.dtype))
+        scores = self._conv_layer("head", x)
         scores = ad.reshape(scores, (scores.shape[0], self.cfg.n_classes))
         return ModelOutput(class_activations=ad.sigmoid(scores))
 
@@ -228,8 +226,9 @@ def _check_batch(batch, cfg, dtype):
             f"({cfg.in_channels}, {cfg.image_size}, {cfg.image_size})"
         )
     lo, hi = float(x.data.min()), float(x.data.max())
-    if lo < 0.0 or hi > 1.0:
-        raise ValueError(f"pixels must be normalized to [0, 1], got [{lo}, {hi}]")
+    # written so that a NaN pixel (NaN min or max) fails it too
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise ValueError(f"pixels must be finite and normalized to [0, 1], got [{lo}, {hi}]")
     return x
 
 
@@ -299,6 +298,8 @@ def load_state(model, state):
                 f"checkpoint parameter {name!r} has shape {arr.shape}, "
                 f"model expects {t.data.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint parameter {name!r} holds non-finite values")
         t.data = arr.astype(model.dtype)
     extra = set(state) - set(model.params)
     if extra:

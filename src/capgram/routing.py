@@ -1,12 +1,14 @@
 """Dynamic routing-by-agreement over convolutional capsule predictions.
 
-A capsule layer is a vector field per capsule type. Deeper capsules are
-built by letting every shallow type predict every deep type through a
-shared convolutional bank, then iterating: softmax the routing logits over
-deep types, combine predictions with the resulting coefficients, squash,
-and add the prediction/output agreement back onto the logits. Gradients
-flow through all iterations, including the coefficients' dependence on the
-logits — the entropy loss needs that path.
+Capsules are plain tensors [..., types, dim, H, W]: one vector per capsule
+type and position. Deeper capsules are built by letting every shallow type
+predict every deep type through a shared convolutional bank (predictions
+[..., n_in, n_out, dim, H, W]), then iterating: softmax the routing logits
+over deep types, combine predictions with the resulting coefficients,
+squash, and add the prediction/output agreement back onto the logits.
+Gradients flow through all iterations, including the coefficients'
+dependence on the logits — the entropy loss needs that path. Equal routing
+is one iteration of the same loop: softmax of the zero starting logits.
 
 The coefficient rows are a distribution over deep types for each shallow
 capsule and position; their argmax defines a parse forest, and their
@@ -24,64 +26,6 @@ from .autodiff import Tensor
 
 ENTROPY_LOG_GUARD = 1e-12
 SQUASH_NORM_EPSILON = 1e-8
-
-
-@dataclass
-class CapsuleField:
-    """Capsule activations: values [..., n_types, dim, H, W]."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.values, Tensor):
-            self.values = Tensor(self.values)
-        if self.values.ndim < 4:
-            raise ValueError(
-                f"capsule field needs [..., types, dim, H, W], got {self.values.shape}"
-            )
-
-    @property
-    def n_types(self):
-        return self.values.shape[-4]
-
-    @property
-    def dim(self):
-        return self.values.shape[-3]
-
-    @property
-    def height(self):
-        return self.values.shape[-2]
-
-    @property
-    def width(self):
-        return self.values.shape[-1]
-
-
-@dataclass
-class PredictionStack:
-    """All shallow-to-deep predictions: values [..., n_in, n_out, dim, H, W]."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.values, Tensor):
-            self.values = Tensor(self.values)
-        if self.values.ndim < 5:
-            raise ValueError(
-                f"prediction stack needs [..., in, out, dim, H, W], got {self.values.shape}"
-            )
-
-    @property
-    def n_in(self):
-        return self.values.shape[-5]
-
-    @property
-    def n_out(self):
-        return self.values.shape[-4]
-
-    @property
-    def dim(self):
-        return self.values.shape[-3]
 
 
 @dataclass
@@ -125,27 +69,26 @@ def squash(v, axis=-1):
     return ad.mul(v, factor)
 
 
-def predict(caps_in, filters, stride=1, padding=0):
+def predict(caps, filters, stride=1, padding=0):
     """Convolutional predictions of every deep type from every shallow type.
 
-    ``filters`` is one bank per deep type, [n_out, dim_out, dim_in, kH, kW];
-    the same bank j is applied to each shallow type independently (weights
-    are shared across shallow types).
+    ``caps`` is [..., n_in, dim_in, H, W]; ``filters`` is one bank per deep
+    type, [n_out, dim_out, dim_in, kH, kW]. The same bank j is applied to
+    each shallow type independently (weights are shared across shallow
+    types). Returns predictions [..., n_in, n_out, dim_out, Ho, Wo].
     """
-    if isinstance(caps_in, CapsuleField):
-        vals = caps_in.values
-    else:
-        vals = caps_in if isinstance(caps_in, Tensor) else Tensor(caps_in)
-        if vals.ndim < 4:
-            raise ValueError(f"capsule input needs [..., I, D, H, W], got {vals.shape}")
+    if not isinstance(caps, Tensor):
+        caps = Tensor(caps)
+    if caps.ndim < 4:
+        raise ValueError(f"capsule input needs [..., I, D, H, W], got {caps.shape}")
     if not isinstance(filters, Tensor):
         filters = Tensor(np.asarray(filters))
     if filters.ndim != 5:
         raise ValueError(
             f"filters must be [n_out, dim_out, dim_in, kH, kW], got {filters.shape}"
         )
-    lead = vals.shape[:-4]
-    I, D, H, W = vals.shape[-4:]
+    lead = caps.shape[:-4]
+    I, D, H, W = caps.shape[-4:]
     J, Do, Di, kH, kW = filters.shape
     if Di != D:
         raise ValueError(
@@ -153,12 +96,11 @@ def predict(caps_in, filters, stride=1, padding=0):
             f"(filters {filters.shape})"
         )
     batch = int(np.prod(lead)) if lead else 1
-    x = ad.reshape(vals, (batch * I, D, H, W))
+    x = ad.reshape(caps, (batch * I, D, H, W))
     k = ad.reshape(filters, (J * Do, D, kH, kW))
     y = ad.correlate2d(x, k, stride, padding)
     Ho, Wo = y.shape[-2:]
-    out = ad.reshape(y, tuple(lead) + (I, J, Do, Ho, Wo))
-    return PredictionStack(out)
+    return ad.reshape(y, tuple(lead) + (I, J, Do, Ho, Wo))
 
 
 def _entropy_stat(c):
@@ -172,50 +114,45 @@ def _entropy_stat(c):
     return float(h.mean())
 
 
-def _route(S, iters, coefficients_fn):
-    values = S.values if isinstance(S, PredictionStack) else PredictionStack(S).values
-    shape = values.shape
-    logits_shape = shape[:-3] + shape[-2:]  # drop the dim axis
-    b = Tensor(np.zeros(logits_shape, dtype=values.dtype))
+def _route(S, iters):
+    """Route predictions S [..., n_in, n_out, dim, H, W] for ``iters`` rounds.
+
+    Coefficients are the softmax of the logits over deep types. The logits
+    start at zero, so the first round's coefficients are exactly 1/n_out.
+    """
+    if S.ndim < 5:
+        raise ValueError(f"predictions need [..., in, out, dim, H, W], got {S.shape}")
+    logits_shape = S.shape[:-3] + S.shape[-2:]  # drop the dim axis
+    b = Tensor(np.zeros(logits_shape, dtype=S.dtype))
     trace = RoutingTrace(iterations=iters)
     trace.logits.append(b)
     out = None
     for _ in range(iters):
-        c = coefficients_fn(b)
+        c = ad.softmax(b, axis=-3)
         trace.coefficients.append(c)
         trace.entropy_mean.append(_entropy_stat(c.data))
         c_e = ad.reshape(c, c.shape[:-2] + (1,) + c.shape[-2:])
-        f = ad.reduce_sum(ad.mul(c_e, values), axis=-5)
+        f = ad.reduce_sum(ad.mul(c_e, S), axis=-5)
         out = squash(f, axis=-3)
         f_e = ad.reshape(out, out.shape[:-4] + (1,) + out.shape[-4:])
-        agreement = ad.reduce_sum(ad.mul(values, f_e), axis=-3)
+        agreement = ad.reduce_sum(ad.mul(S, f_e), axis=-3)
         b = ad.add(b, agreement)
         trace.logits.append(b)
-    return CapsuleField(out), trace
+    return out, trace
 
 
 def dynamic_route(S, iters):
-    """Full routing-by-agreement; returns deep capsules and the trace.
-
-    Logits start at zero, so one iteration reduces to uniform coefficients.
-    """
+    """Full routing-by-agreement; returns deep capsules and the trace."""
     iters = int(iters)
     if iters < 1:
         raise ValueError(f"routing needs at least one iteration, got {iters}")
-    return _route(S, iters, lambda b: ad.softmax(b, axis=-3))
+    return _route(S, iters)
 
 
 def equal_route_traced(S):
-    """Uniform-coefficient baseline: one weighted sum plus squash; returns
-    deep capsules and a single-iteration trace of the uniform coefficients."""
-    if not isinstance(S, PredictionStack):
-        S = PredictionStack(S)
-    n_out = S.n_out
-
-    def uniform(b):
-        return Tensor(np.full(b.shape, 1.0 / n_out, dtype=b.dtype))
-
-    return _route(S, 1, uniform)
+    """Uniform-coefficient baseline: one round of routing, whose coefficients
+    are 1/n_out; returns deep capsules and the single-iteration trace."""
+    return _route(S, 1)
 
 
 def routing_entropy(trace):

@@ -124,6 +124,7 @@ def test_usage_errors_exit_1(workspace, tmp_path, capsys):
     invalid = (
         {"loss.w_ent_start": 1.5, "loss.w_ent_end": 1.5},
         {"loss.w_ent_start": 0.8, "loss.w_ent_end": 0.2},
+        {"model.kind": "cnn", "loss.w_ent_start": 0.8, "loss.w_ent_end": 0.8},
         {"loss.mode": "linear_ramp"},
         {"model.iters": 0},
     )
@@ -131,7 +132,7 @@ def test_usage_errors_exit_1(workspace, tmp_path, capsys):
         cfg = _write_config(tmp_path / f"invalid{i}.cfg", data, **extra)
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
-        if i >= 2:
+        if i >= 3:
             assert f"unknown config keys: {list(extra)}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
     # dataset sizes that cannot be generated are refused before --out exists
@@ -186,7 +187,11 @@ def test_runtime_failure_exit_2(workspace, tmp_path):
 
 def test_checkpoint_config_mismatch_is_runtime_error(workspace, tmp_path):
     root, cfg, data, run = workspace
-    cnn_cfg = _write_config(tmp_path / "cnn.cfg", data, **{"model.kind": "cnn"})
+    cnn_cfg = _write_config(
+        tmp_path / "cnn.cfg",
+        data,
+        **{"model.kind": "cnn", "loss.w_ent_start": 0, "loss.w_ent_end": 0},
+    )
     code = cli.main(
         ["eval", "--config", str(cnn_cfg), "--out", str(tmp_path / "r3"),
          "--checkpoint", str(run / "final.ckpt"), "--split", "val"]

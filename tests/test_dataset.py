@@ -227,7 +227,6 @@ def test_val_face_manifest_replay_renders_file_pixels():
         manifest = gr.SceneManifest(
             label=rec["label"],
             parts=[gr.PartBox(p["name"], p["glyph"], tuple(p["box"])) for p in rec["parts"]],
-            derivation={},
-        )
+            )
         img = gr.render_manifest(face, manifest, 32)
         np.testing.assert_array_equal(ds.quantize(img[0]), bundle.images["val"][i])

@@ -7,7 +7,7 @@ from tests.test_autodiff import naive_correlate2d, naive_max_pool
 
 
 def _rand_field(rng, c=2, h=6, w=6):
-    return eq.FeatureField(Tensor(rng.normal(size=(c, h, w))))
+    return Tensor(rng.normal(size=(c, h, w)))
 
 
 def test_identity_kernel_is_identity():
@@ -17,14 +17,14 @@ def test_identity_kernel_is_identity():
     for i in range(3):
         k[i, i, 0, 0] = 1.0
     out = eq.ConvLayer(Tensor(k))(field)
-    np.testing.assert_array_equal(out.values.data, field.values.data)
+    np.testing.assert_array_equal(out.data, field.data)
 
 
 def test_relu_activation_nonnegative():
     rng = np.random.default_rng(1)
     field = _rand_field(rng)
     out = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), activation="relu")(field)
-    assert np.all(out.values.data >= 0)
+    assert np.all(out.data >= 0)
 
 
 def test_conv_layer_vs_loop_oracle():
@@ -32,28 +32,28 @@ def test_conv_layer_vs_loop_oracle():
     field = _rand_field(rng, c=2, h=6, w=6)
     k = rng.normal(size=(3, 2, 3, 3))
     out = eq.ConvLayer(Tensor(k), stride=1, padding=1)(field)
-    want = naive_correlate2d(field.values.data, k, stride=1, padding=1)
-    np.testing.assert_array_equal(out.values.data, want)
+    want = naive_correlate2d(field.data, k, stride=1, padding=1)
+    np.testing.assert_array_equal(out.data, want)
 
 
 def test_max_pool_examples():
-    out = eq.MaxPoolLayer(2, 2)(eq.FeatureField(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))))
-    assert out.values.data.reshape(()) == 4.0
+    out = eq.MaxPoolLayer(2, 2)(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
+    assert out.data.reshape(()) == 4.0
 
-    const = eq.MaxPoolLayer(2, 2)(eq.FeatureField(Tensor(np.full((2, 6, 6), 1.5))))
-    np.testing.assert_array_equal(const.values.data, np.full((2, 3, 3), 1.5))
+    const = eq.MaxPoolLayer(2, 2)(Tensor(np.full((2, 6, 6), 1.5)))
+    np.testing.assert_array_equal(const.data, np.full((2, 3, 3), 1.5))
 
 
 def test_max_pool_vs_oracle():
     rng = np.random.default_rng(3)
     field = _rand_field(rng, c=2, h=7, w=7)
     out = eq.MaxPoolLayer(3, 2)(field)
-    np.testing.assert_array_equal(out.values.data, naive_max_pool(field.values.data, 3, 2))
+    np.testing.assert_array_equal(out.data, naive_max_pool(field.data, 3, 2))
 
 
 def test_pool_window_error():
     with pytest.raises(ValueError):
-        eq.MaxPoolLayer(4, 1)(eq.FeatureField(Tensor(np.zeros((1, 3, 3)))))
+        eq.MaxPoolLayer(4, 1)(Tensor(np.zeros((1, 3, 3))))
 
 
 def test_translate_zero_fill():
@@ -64,10 +64,10 @@ def test_translate_zero_fill():
 
 
 def test_field_validation():
-    with pytest.raises(ValueError, match="finite"):
-        eq.FeatureField(Tensor(np.array([[[np.inf]]])))
-    with pytest.raises(ValueError, match=r"\[..., C, H, W\]"):
-        eq.FeatureField(Tensor(np.zeros((3, 3))))
+    # layers take plain tensors; correlate2d rejects a rank it cannot read
+    layer = eq.ConvLayer(Tensor(np.ones((1, 1, 1, 1))))
+    with pytest.raises(ValueError, match=r"input must be \[C, H, W\] or \[N, C, H, W\]"):
+        layer(Tensor(np.zeros((3, 3))))
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,6 @@ def test_swap_resizes_unequal_boxes_nearest_neighbour():
             gr.PartBox("a", 0, (2, 2, 6, 6)),
             gr.PartBox("b", 1, (10, 10, 18, 18)),
         ],
-        derivation={},
     )
     swapped, man2 = gr.part_swap(img, manifest, np.random.default_rng(0))
     assert man2.swap == (0, 1)

@@ -180,10 +180,10 @@ def test_margin_plus_entropy_grad_check():
     proj = rng.normal(size=(2, 3, 2, 1, 1))
 
     def f(x):
-        S = rt.PredictionStack(ad.mul(ad.reshape(x, (2, 3, 2, 1, 1)), Tensor(proj)))
+        S = ad.mul(ad.reshape(x, (2, 3, 2, 1, 1)), Tensor(proj))
         routed, trace = rt.dynamic_route(S, 3)
         acts = ad.reshape(
-            ad.l2_norm(routed.values, axis=-3, epsilon=1e-8), (3,)
+            ad.l2_norm(routed, axis=-3, epsilon=1e-8), (3,)
         )
         m = ls.margin_loss(acts, 1)
         e = ls.entropy_loss([trace])

@@ -130,6 +130,14 @@ def test_pixel_range_and_extent_validated():
         m.forward(Tensor(np.zeros((1, 1, 16, 16))))
 
 
+def test_nan_pixel_rejected_by_both_models():
+    batch = _fixed_image()
+    batch[0, 0, 5, 7] = np.nan
+    for model in (md.build_capsnet(seed=0), md.build_cnn(seed=0)):
+        with pytest.raises(ValueError, match="pixels must be finite"):
+            model.forward(Tensor(batch))
+
+
 def test_golden_activation_vector():
     # frozen from the first verified run of the seed-5 default capsnet
     m = md.build_capsnet(seed=5)
@@ -223,3 +231,13 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     other = md.build_capsnet(seed=0)
     with pytest.raises(ValueError, match="shape"):
         md.load_state(other, md.load_checkpoint(p))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_non_finite_value_rejected(tmp_path, bad):
+    m = md.build_capsnet(MINI, seed=8)
+    m.params["routed.1.filters"].data[0, 1, 2, 0, 1] = bad
+    p = tmp_path / "mini.ckpt"
+    md.save_checkpoint(m, p)
+    with pytest.raises(ValueError, match=r"'routed.1.filters' holds non-finite"):
+        md.load_state(md.build_capsnet(MINI, seed=8), md.load_checkpoint(p))

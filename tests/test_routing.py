@@ -83,42 +83,42 @@ def test_squash_norm_law_property(seed):
 
 def test_predict_zero_field_zero_predictions():
     rng = np.random.default_rng(0)
-    caps = rt.CapsuleField(Tensor(np.zeros((2, 3, 5, 5))))
+    caps = Tensor(np.zeros((2, 3, 5, 5)))
     filters = Tensor(rng.normal(size=(4, 2, 3, 3, 3)))
     S = rt.predict(caps, filters)
-    assert np.all(S.values.data == 0.0)
+    assert np.all(S.data == 0.0)
 
 
 def test_predict_identity_kernels_pass_through():
     rng = np.random.default_rng(1)
-    caps = rt.CapsuleField(Tensor(rng.normal(size=(1, 3, 4, 4))))
+    caps = Tensor(rng.normal(size=(1, 3, 4, 4)))
     k = np.zeros((1, 3, 3, 1, 1))
     for d in range(3):
         k[0, d, d, 0, 0] = 1.0
     S = rt.predict(caps, Tensor(k))
-    np.testing.assert_array_equal(S.values.data[0, 0], caps.values.data[0])
+    np.testing.assert_array_equal(S.data[0, 0], caps.data[0])
 
 
 def test_predict_vs_loop_oracle():
     rng = np.random.default_rng(2)
     caps = rng.normal(size=(3, 2, 5, 5))
     filters = rng.normal(size=(2, 4, 2, 3, 3))
-    S = rt.predict(rt.CapsuleField(Tensor(caps)), Tensor(filters), stride=2, padding=1)
-    np.testing.assert_array_equal(S.values.data, naive_predict(caps, filters, 2, 1))
+    S = rt.predict(Tensor(caps), Tensor(filters), stride=2, padding=1)
+    np.testing.assert_array_equal(S.data, naive_predict(caps, filters, 2, 1))
 
 
 def test_predict_shares_bank_across_input_types():
     rng = np.random.default_rng(3)
     caps = rng.normal(size=(3, 2, 4, 4))
     filters = rng.normal(size=(2, 2, 2, 1, 1))
-    S = rt.predict(rt.CapsuleField(Tensor(caps)), Tensor(filters))
+    S = rt.predict(Tensor(caps), Tensor(filters))
     for i in range(3):
-        single = rt.predict(rt.CapsuleField(Tensor(caps[i : i + 1])), Tensor(filters))
-        np.testing.assert_array_equal(S.values.data[i], single.values.data[0])
+        single = rt.predict(Tensor(caps[i : i + 1]), Tensor(filters))
+        np.testing.assert_array_equal(S.data[i], single.data[0])
 
 
 def test_predict_dim_mismatch_error():
-    caps = rt.CapsuleField(Tensor(np.zeros((2, 3, 4, 4))))
+    caps = Tensor(np.zeros((2, 3, 4, 4)))
     with pytest.raises(ValueError, match="does not match filter input dim"):
         rt.predict(caps, Tensor(np.zeros((2, 2, 5, 1, 1))))
 
@@ -128,7 +128,7 @@ def test_predict_dim_mismatch_error():
 
 
 def _random_stack(rng, I=2, J=3, D=2, H=2, W=2, scale=1.0):
-    return rt.PredictionStack(Tensor(rng.normal(scale=scale, size=(I, J, D, H, W))))
+    return Tensor(rng.normal(scale=scale, size=(I, J, D, H, W)))
 
 
 def test_one_iteration_equals_equal_route_bitwise():
@@ -136,7 +136,7 @@ def test_one_iteration_equals_equal_route_bitwise():
     S = _random_stack(rng)
     routed, _ = rt.dynamic_route(S, 1)
     equal, _ = rt.equal_route_traced(S)
-    np.testing.assert_array_equal(routed.values.data, equal.values.data)
+    np.testing.assert_array_equal(routed.data, equal.data)
 
 
 def test_hand_trace_agreement_update():
@@ -145,7 +145,7 @@ def test_hand_trace_agreement_update():
     # 0.5 onto the type-0 logits and iteration 2 softmaxes (0.5, 0).
     S = np.zeros((2, 2, 1, 1, 1))
     S[:, 0, 0, 0, 0] = 1.0
-    _, trace = rt.dynamic_route(rt.PredictionStack(Tensor(S)), 2)
+    _, trace = rt.dynamic_route(Tensor(S), 2)
     c2 = trace.coefficients[1].data
     np.testing.assert_allclose(c2[:, 0, 0, 0], [0.62246, 0.62246], atol=1e-4)
     np.testing.assert_allclose(c2[:, 1, 0, 0], [0.37754, 0.37754], atol=1e-4)
@@ -172,32 +172,32 @@ def test_zero_iterations_rejected():
 def test_equal_route_single_input_type():
     rng = np.random.default_rng(7)
     S = _random_stack(rng, I=1, J=3)
-    out = rt.equal_route_traced(S)[0].values.data
-    want = rt.squash(ad.scale(Tensor(S.values.data[0]), 1.0 / 3.0), axis=-3).data
+    out = rt.equal_route_traced(S)[0].data
+    want = rt.squash(ad.scale(Tensor(S.data[0]), 1.0 / 3.0), axis=-3).data
     np.testing.assert_allclose(out, want, atol=1e-15)
 
 
 def test_equal_route_vs_loop_oracle():
     rng = np.random.default_rng(8)
     S = _random_stack(rng, I=3, J=2, D=3, H=2, W=2)
-    out = rt.equal_route_traced(S)[0].values.data
-    np.testing.assert_allclose(out, naive_equal_route(S.values.data), atol=1e-12)
+    out = rt.equal_route_traced(S)[0].data
+    np.testing.assert_allclose(out, naive_equal_route(S.data), atol=1e-12)
 
 
 def test_batched_routing_matches_per_sample():
     rng = np.random.default_rng(9)
     S = rng.normal(size=(3, 2, 3, 2, 2, 2))
-    routed, _ = rt.dynamic_route(rt.PredictionStack(Tensor(S)), 3)
+    routed, _ = rt.dynamic_route(Tensor(S), 3)
     for n in range(3):
-        single, _ = rt.dynamic_route(rt.PredictionStack(Tensor(S[n])), 3)
-        np.testing.assert_array_equal(routed.values.data[n], single.values.data)
+        single, _ = rt.dynamic_route(Tensor(S[n]), 3)
+        np.testing.assert_array_equal(routed.data[n], single.data)
 
 
 def test_capsule_norms_below_one_after_routing():
     rng = np.random.default_rng(10)
     S = _random_stack(rng, scale=10.0)
     routed, _ = rt.dynamic_route(S, 3)
-    norms = np.linalg.norm(routed.values.data, axis=-3)
+    norms = np.linalg.norm(routed.data, axis=-3)
     assert np.all(norms < 1.0)
 
 
@@ -247,7 +247,7 @@ def test_entropy_non_increasing_across_iterations():
     rng = np.random.default_rng(2024)
     trials = 1000
     S = rng.normal(size=(trials, 2, 3, 2, 2, 2))
-    _, trace = rt.dynamic_route(rt.PredictionStack(Tensor(S)), 3)
+    _, trace = rt.dynamic_route(Tensor(S), 3)
     per_trial = []
     for c in trace.coefficients:
         h = -(c.data * np.log(c.data + rt.ENTROPY_LOG_GUARD)).sum(axis=-3)
@@ -332,9 +332,9 @@ def test_routing_block_grad_check():
     proj = rng.normal(size=(3, 2, 2, 2))
 
     def f(S_flat):
-        S = rt.PredictionStack(ad.reshape(S_flat, (2, 3, 2, 2, 2)))
+        S = ad.reshape(S_flat, (2, 3, 2, 2, 2))
         routed, trace = rt.dynamic_route(S, 3)
-        score = ad.reduce_sum(ad.mul(routed.values, Tensor(proj)))
+        score = ad.reduce_sum(ad.mul(routed, Tensor(proj)))
         return ad.add(score, rt.routing_entropy(trace))
 
     point = Tensor(rng.normal(size=2 * 3 * 2 * 2 * 2))
@@ -348,9 +348,9 @@ def test_predict_route_translation_equivariance():
 
     def pipeline(arr):
         with ad.no_grad():
-            S = rt.predict(rt.CapsuleField(Tensor(arr)), filters, stride=1, padding=0)
+            S = rt.predict(Tensor(arr), filters, stride=1, padding=0)
             routed, _ = rt.dynamic_route(S, 3)
-        return routed.values.data
+        return routed.data
 
     dy, dx = 2, 1
     base = pipeline(caps)

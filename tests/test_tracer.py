@@ -1,0 +1,71 @@
+"""The benchmark's span tracer against the package it patches.
+
+``perfbench/tracer.py`` replaces capgram functions by attribute name, so a
+renamed or removed function breaks ``perfbench/run.py --trace 1``. These
+tests install the tracer on the capgram modules, run one forward and
+backward pass, and check the spans and the restored attributes.
+"""
+
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from capgram import (
+    autodiff, dataset, equivariant, experiment, grammar, losses, models, optim, routing
+)
+from capgram.autodiff import Tensor
+from tests.test_models import MINI
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+MODULES = dict(
+    autodiff=autodiff, dataset=dataset, equivariant=equivariant, experiment=experiment,
+    grammar=grammar, losses=losses, models=models, optim=optim, routing=routing,
+)
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "equal"])
+def test_tracer_spans_one_capsnet_step(mode):
+    patched = {
+        (routing, "predict"): routing.predict,
+        (routing, "dynamic_route"): routing.dynamic_route,
+        (routing, "equal_route_traced"): routing.equal_route_traced,
+        (autodiff, "correlate2d"): autodiff.correlate2d,
+        (autodiff, "_node"): autodiff._node,
+        (equivariant.ConvLayer, "__call__"): equivariant.ConvLayer.__call__,
+        (models.CapsNet, "forward"): models.CapsNet.forward,
+    }
+    model = models.build_capsnet(replace(MINI, routing_mode=mode), seed=0)
+    tracer = _tracer_module().Tracer(MODULES)
+    tracer.install()
+    try:
+        out = model.forward(Tensor(np.full((2, 1, 12, 12), 0.5)))
+        autodiff.reduce_sum(out.class_activations).backward()
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in patched.items():
+        assert getattr(owner, attr) is original, attr
+
+    spans = {sid: (name, parent) for sid, name, _, _, parent, _ in tracer.spans}
+    (forward_id,) = [sid for sid, (name, _) in spans.items() if name == "models.forward"]
+    route = "routing.dynamic_route" if mode == "dynamic" else "routing.equal_route_traced"
+    routing_calls = sorted(
+        (name, parent)
+        for name, parent in spans.values()
+        if name.startswith("routing.") and name.endswith(("L0", "L1"))
+    )
+    # one span per routed layer, directly under the forward: none nests another
+    assert routing_calls == [(f"{route}.L0", forward_id), (f"{route}.L1", forward_id)]
+    names = {name for name, _ in spans.values()}
+    assert {"equivariant.ConvLayer", "routing.predict", "autodiff.backward"} <= names
+    assert f"{route}.L0.bwd" in names
+    assert tracer.counts["autodiff.correlate2d.calls"] == 4  # stem, primary, 2 predictions
