@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the six-variant experiment matrix over one or more seeds.
 
-Produces per-run artifacts under <out>/<seed>/<variant>/ and a markdown
+Produces per-run artifacts under <out>/<seed>/<variant>/, a markdown
 summary table (accuracy, routing entropy, probe activations) at
-<out>/results.md.
+<out>/results.md, and the per-seed, per-variant rows it summarises at
+<out>/results.json.
 
 Usage: python3 scripts/run_matrix.py --out results --seeds 7 8 9 [--epochs 30]
 """
@@ -103,7 +104,9 @@ def main():
     for seed in args.seeds:
         all_rows[seed] = run_seed(dataset_dir, out_root, seed, args.epochs)
     write_table(all_rows, out_root / "results.md", args.epochs)
-    print(f"table at {out_root / 'results.md'}")
+    results = {"epochs": args.epochs, "seeds": {str(s): rows for s, rows in all_rows.items()}}
+    (out_root / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    print(f"table at {out_root / 'results.md'}, rows at {out_root / 'results.json'}")
     return 0
 
 

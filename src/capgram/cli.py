@@ -70,17 +70,7 @@ def _out_dir(args, mapping):
 
 
 def _run_config(args, mapping):
-    cfg = ex.run_config_from_mapping(mapping, out_dir=args.out, seed=args.seed)
-    if not Path(cfg.dataset_dir).exists():
-        raise ConfigError(f"dataset directory {cfg.dataset_dir!r} does not exist")
-    return cfg
-
-
-def _checkpoint_path(args):
-    path = Path(args.checkpoint)
-    if not path.exists():
-        raise ConfigError(f"checkpoint {args.checkpoint!r} does not exist")
-    return path
+    return ex.run_config_from_mapping(mapping, out_dir=args.out, seed=args.seed)
 
 
 def _cmd_generate(args, mapping):
@@ -98,7 +88,7 @@ def _cmd_train(args, mapping):
 
 def _cmd_eval(args, mapping):
     cfg = _run_config(args, mapping)
-    report = ex.evaluate(cfg, _checkpoint_path(args), split=args.split)
+    report = ex.evaluate(cfg, args.checkpoint, split=args.split)
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
     out = Path(cfg.out_dir)
@@ -108,7 +98,7 @@ def _cmd_eval(args, mapping):
 
 def _cmd_probe(args, mapping):
     cfg = _run_config(args, mapping)
-    report = ex.probe(cfg, _checkpoint_path(args))
+    report = ex.probe(cfg, args.checkpoint)
     text = json.dumps(asdict(report), sort_keys=True, indent=2)
     print(text)
     out = Path(cfg.out_dir)
@@ -118,7 +108,7 @@ def _cmd_probe(args, mapping):
 
 def _cmd_inspect(args, mapping):
     cfg = _run_config(args, mapping)
-    dot, table = ex.inspect(cfg, _checkpoint_path(args), args.index, split=args.split)
+    dot, table = ex.inspect(cfg, args.checkpoint, args.index, split=args.split)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dot_path = out / f"parse-{args.split}-{args.index}.dot"

@@ -235,7 +235,7 @@ def load_dataset(path):
     root = Path(path)
     cfg_path = root / "config.json"
     if not cfg_path.exists():
-        raise ValueError(f"{root}: not a dataset directory (missing config.json)")
+        raise ConfigError(f"{root}: not a dataset directory (missing config.json)")
     with open(cfg_path) as fh:
         recorded = json.load(fh)
     unknown = set(recorded) - {f.name for f in fields(DatasetConfig)}

@@ -30,12 +30,14 @@ EVAL_BATCH = 64
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One training run. The entropy weight ramps linearly from w_ent_start
+    at the first epoch to w_ent_end at the last; equal ends hold it fixed."""
+
     dataset_dir: str
     out_dir: str
     seed: int = 7
     model_kind: str = "capsnet"  # capsnet | cnn
     routing_mode: str = "dynamic"  # dynamic | equal
-    # the entropy weight ramps w_ent_start -> w_ent_end; equal ends fix it
     w_ent_start: float = 0.0
     w_ent_end: float = 0.0
     epochs: int = 30
@@ -57,17 +59,25 @@ class RunConfig:
                 f"loss.w_ent_end must be 0 for model.kind cnn (no routing entropy), "
                 f"got {self.w_ent_end}"
             )
-        try:
-            self.schedule()
-        except ValueError as exc:
-            raise ConfigError(f"loss: {exc}") from exc
+        if not 0.0 <= self.w_ent_start <= self.w_ent_end <= 1.0:
+            raise ConfigError(
+                f"loss: need 0 <= w_ent_start <= w_ent_end <= 1, "
+                f"got {self.w_ent_start} -> {self.w_ent_end}"
+            )
 
     @property
     def dtype(self):
         return np.float32 if self.precision == "narrow" else np.float64
 
-    def schedule(self):
-        return ls.LossSchedule(self.w_ent_start, self.w_ent_end, self.epochs)
+    def w_ent(self, epoch):
+        """Entropy weight for one epoch; epochs are 0-based and must be in range."""
+        epoch = int(epoch)
+        if epoch < 0 or epoch >= self.epochs:
+            raise ValueError(f"epoch {epoch} out of range for {self.epochs} epochs")
+        if self.epochs == 1:
+            return self.w_ent_end
+        span = self.w_ent_end - self.w_ent_start
+        return self.w_ent_start + span * epoch / (self.epochs - 1)
 
 
 CONFIG_KEYS = {
@@ -167,7 +177,6 @@ def train(cfg, log=print):
     out_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(cfg)
     optimizer = Adam(model.params.values(), lr=cfg.lr)
-    schedule = cfg.schedule()
     images = data.images_float("train", dtype=cfg.dtype)
     labels = data.labels["train"].astype(np.int64)
     n = images.shape[0]
@@ -178,7 +187,7 @@ def train(cfg, log=print):
     t_start = time.time()
     with open(metrics_path, "w") as metrics_fh:
         for epoch in range(cfg.epochs):
-            weights = ls.schedule_weights(epoch, schedule)
+            w_ent = cfg.w_ent(epoch)
             order = _epoch_rng(cfg.seed, epoch).permutation(n)
             sums = {"total": 0.0, "margin": 0.0, "entropy": 0.0}
             batches = 0
@@ -191,12 +200,12 @@ def train(cfg, log=print):
                     margin = ls.margin_loss(out.class_activations, targets)
                     # the CNN has no traces, and RunConfig holds its w_ent at 0
                     entropy_value = float(sum(t.entropy_mean[-1] for t in out.traces))
-                    if weights.w_ent > 0.0:
-                        total = ls.combined_loss(margin, ls.entropy_loss(out.traces), weights)
+                    if w_ent > 0.0:
+                        total = ls.combined_loss(margin, ls.entropy_loss(out.traces), w_ent)
                     else:
                         # reported but kept out of the graph: a w_ent = 0
                         # run is bit-identical to a margin-only run
-                        total = ad.scale(margin, weights.w_cls)
+                        total = ad.scale(margin, 1.0)
                 except ValueError as exc:
                     # diverged activations trip the finiteness guards inside
                     # softmax/log before the loss itself is evaluated
@@ -222,7 +231,7 @@ def train(cfg, log=print):
                 "loss_total": sums["total"] / batches,
                 "loss_margin": sums["margin"] / batches,
                 "loss_entropy": sums["entropy"] / batches,
-                "w_ent": weights.w_ent,
+                "w_ent": w_ent,
                 "val_accuracy": val_acc,
                 "entropy_per_layer": val_entropy,
                 "wall_time_s": round(time.time() - t_start, 3),
@@ -235,7 +244,7 @@ def train(cfg, log=print):
             log(
                 f"epoch {epoch:3d}  loss {record['loss_total']:.4f}  "
                 f"margin {record['loss_margin']:.4f}  entropy {record['loss_entropy']:.3f}  "
-                f"w_ent {weights.w_ent:.3f}  val acc {val_acc:.4f}"
+                f"w_ent {w_ent:.3f}  val acc {val_acc:.4f}"
             )
     md.save_checkpoint(model, final_path)
     return {
@@ -350,7 +359,7 @@ def inspect(cfg, checkpoint, index, split="val"):
         )
         per_iter = ", ".join(f"{h:.4f}" for h in trace.entropy_mean)
         rows.append(
-            f"{l:5d}  {trace.iterations:5d}  {trace.n_out:5d}  "
+            f"{l:5d}  {len(trace.coefficients):5d}  {trace.n_out:5d}  "
             f"{trace.entropy_mean[-1]:13.6f}  {np.log(trace.n_out):17.6f}  [{per_iter}]"
         )
     label = int(data.labels[split][index])

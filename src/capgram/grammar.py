@@ -249,14 +249,14 @@ def builtin_face_grammar():
     )
 
 
-def builtin_distractor_grammar(seed=0, n_families=8):
+def builtin_distractor_grammar(n_families=8):
     """Non-face scenes: disjoint glyphs, 3-5 parts per family at random offsets.
 
-    Family offsets are fixed at construction (seeded); scenes then choose a
-    family uniformly and sample each part's glyph. More families mean more
-    varied negatives, which keeps more capsule types in use.
+    Family offsets are fixed at construction (PCG64 seed 0); scenes then
+    choose a family uniformly and sample each part's glyph. More families
+    mean more varied negatives, which keeps more capsule types in use.
     """
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = np.random.default_rng(np.random.PCG64(0))
     glyph_ids = sorted(DISTRACTOR_GLYPHS)
     or_rules = {}
     and_rules = {}

@@ -23,6 +23,7 @@ from .autodiff import Tensor
 from .equivariant import ConvLayer, MaxPoolLayer
 
 CHECKPOINT_MAGIC = b"CGL1"
+ROUTING_ITERS = 3
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class ConvSpec:
     kernel: int
     stride: int = 1
     padding: int = 0
-    activation: str = "relu"
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class RoutedSpec:
     dim: int
     kernel: int
     stride: int
-    iters: int = 3
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,8 @@ class _Model:
         )
 
     def _conv_stack(self, prefix, specs, extent, channels):
-        """Register the convs of a ConvSpec/PoolSpec stack; returns its output
-        extent and channel count."""
+        """Register the convs of a ConvSpec/PoolSpec stack (each conv is
+        followed by relu); returns its output extent and channel count."""
         for n, spec in enumerate(specs):
             if isinstance(spec, PoolSpec):
                 extent = (extent - spec.window) // spec.stride + 1
@@ -141,9 +140,7 @@ class _Model:
             if isinstance(spec, PoolSpec):
                 x = MaxPoolLayer(spec.window, spec.stride)(x)
             else:
-                x = self._conv_layer(
-                    f"{prefix}.{n}", x, spec.stride, spec.padding, spec.activation
-                )
+                x = self._conv_layer(f"{prefix}.{n}", x, spec.stride, spec.padding, "relu")
         return x
 
 
@@ -194,7 +191,7 @@ class CapsNet(_Model):
             if cfg.routing_mode == "equal":
                 caps, trace = rt.equal_route_traced(S)
             else:
-                caps, trace = rt.dynamic_route(S, spec.iters)
+                caps, trace = rt.dynamic_route(S, ROUTING_ITERS)
             traces.append(trace)
         # class capsules are [B, K, D, 1, 1]: spatial mean is trivial by
         # construction, then the vector norm is the class activation
@@ -298,9 +295,11 @@ def load_state(model, state):
                 f"checkpoint parameter {name!r} has shape {arr.shape}, "
                 f"model expects {t.data.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        # checked after the cast: a wide value can overflow a narrow model
+        values = arr.astype(model.dtype)
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"checkpoint parameter {name!r} holds non-finite values")
-        t.data = arr.astype(model.dtype)
+        t.data = values
     extra = set(state) - set(model.params)
     if extra:
         raise ValueError(f"checkpoint has unexpected parameters: {sorted(extra)}")

@@ -30,18 +30,14 @@ SQUASH_NORM_EPSILON = 1e-8
 
 @dataclass
 class RoutingTrace:
-    """Per-iteration routing state.
+    """Routing state, one list entry per iteration.
 
-    coefficients[t] and logits[t] have shape [..., n_in, n_out, H, W];
-    logits[0] is all zeros and logits additionally records the post-final
-    agreement update at index ``iterations``. entropy_mean[t] is the mean
-    coefficient-row entropy in nats at iteration t (reporting only; the
-    differentiable entropy is recomputed from coefficients[-1]).
+    coefficients[t] has shape [..., n_in, n_out, H, W]. entropy_mean[t] is
+    the mean coefficient-row entropy in nats at iteration t (reporting only;
+    the differentiable entropy is recomputed from coefficients[-1]).
     """
 
     coefficients: list = field(default_factory=list)
-    logits: list = field(default_factory=list)
-    iterations: int = 0
     entropy_mean: list = field(default_factory=list)
 
     @property
@@ -124,20 +120,19 @@ def _route(S, iters):
         raise ValueError(f"predictions need [..., in, out, dim, H, W], got {S.shape}")
     logits_shape = S.shape[:-3] + S.shape[-2:]  # drop the dim axis
     b = Tensor(np.zeros(logits_shape, dtype=S.dtype))
-    trace = RoutingTrace(iterations=iters)
-    trace.logits.append(b)
+    trace = RoutingTrace()
     out = None
-    for _ in range(iters):
+    for t in range(iters):
         c = ad.softmax(b, axis=-3)
         trace.coefficients.append(c)
         trace.entropy_mean.append(_entropy_stat(c.data))
         c_e = ad.reshape(c, c.shape[:-2] + (1,) + c.shape[-2:])
         f = ad.reduce_sum(ad.mul(c_e, S), axis=-5)
         out = squash(f, axis=-3)
-        f_e = ad.reshape(out, out.shape[:-4] + (1,) + out.shape[-4:])
-        agreement = ad.reduce_sum(ad.mul(S, f_e), axis=-3)
-        b = ad.add(b, agreement)
-        trace.logits.append(b)
+        if t + 1 < iters:  # the last round's agreement would feed no softmax
+            f_e = ad.reshape(out, out.shape[:-4] + (1,) + out.shape[-4:])
+            agreement = ad.reduce_sum(ad.mul(S, f_e), axis=-3)
+            b = ad.add(b, agreement)
     return out, trace
 
 

@@ -118,8 +118,8 @@ def test_usage_errors_exit_1(workspace, tmp_path, capsys):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("dataset.dir = d\nwhat.is = this\n")
     assert cli.main(["train", "--config", str(unknown), "--out", "x"]) == 1
-    # run settings that only the loss schedule could reject, and keys that
-    # were removed, are refused before the dataset loads, not mid-training
+    # run settings that RunConfig rejects, and keys that were removed, are
+    # refused before the dataset loads, not mid-training
     data = workspace[2]
     invalid = (
         {"loss.w_ent_start": 1.5, "loss.w_ent_end": 1.5},
@@ -157,6 +157,24 @@ def test_missing_dataset_exit_1(workspace, tmp_path):
     root, cfg, data, run = workspace
     cfg2 = _write_config(tmp_path / "c.cfg", tmp_path / "nonexistent")
     assert cli.main(["train", "--config", str(cfg2), "--out", str(tmp_path / "r")]) == 1
+    # an existing directory that is not a dataset
+    (tmp_path / "empty").mkdir()
+    cfg3 = _write_config(tmp_path / "e.cfg", tmp_path / "empty")
+    for cmd in (["train"], ["eval", "--checkpoint", str(run / "final.ckpt")]):
+        assert cli.main(cmd + ["--config", str(cfg3), "--out", str(tmp_path / "r")]) == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_missing_checkpoint_exit_1(workspace, tmp_path, capsys):
+    root, cfg, data, run = workspace
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    code = cli.main(
+        ["eval", "--config", str(cfg), "--out", str(out), "--checkpoint", str(tmp_path / "no.ckpt")]
+    )
+    assert code == 1
+    assert "no.ckpt" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_dataset_config_json_key_exit_1(tmp_path, capsys):

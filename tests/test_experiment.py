@@ -53,8 +53,7 @@ def test_run_config_from_mapping_roundtrip():
     assert cfg.seed == 5
     assert (cfg.w_ent_start, cfg.w_ent_end) == (0.0, 0.8)
     assert cfg.dtype == np.float64
-    sched = cfg.schedule()
-    assert sched.total_epochs == 3
+    assert cfg.epochs == 3
 
 
 def test_run_config_rejects_unknown_keys():
@@ -71,10 +70,10 @@ def test_variant_configs_cover_matrix():
     for name in ("unregcaps", "0.4caps", "0.8caps", "schcaps", "equalcaps", "cnn"):
         cfg = ex.variant_config(name, "d", "o")
         assert cfg.epochs == 30 and cfg.batch_size == 32
-    sched = ex.variant_config("0.8caps", "d", "o").schedule()
-    assert (sched.w_ent_start, sched.w_ent_end) == (0.8, 0.8)
-    sched = ex.variant_config("schcaps", "d", "o").schedule()
-    assert (sched.w_ent_start, sched.w_ent_end) == (0.0, 0.8)
+    cfg = ex.variant_config("0.8caps", "d", "o")
+    assert (cfg.w_ent_start, cfg.w_ent_end) == (0.8, 0.8)
+    cfg = ex.variant_config("schcaps", "d", "o")
+    assert (cfg.w_ent_start, cfg.w_ent_end) == (0.0, 0.8)
     assert ex.variant_config("equalcaps", "d", "o").routing_mode == "equal"
     with pytest.raises(ConfigError, match="unknown variant"):
         ex.variant_config("megacaps", "d", "o")
@@ -151,6 +150,19 @@ def test_non_finite_loss_aborts_with_location(tiny_dataset, tmp_path):
     cfg = _cfg(tiny_dataset, tmp_path, lr=1e18, precision="narrow")
     with pytest.raises(RuntimeError, match=r"epoch 0, batch \d"):
         ex.train(cfg, log=lambda m: None)
+
+
+def test_training_applies_the_ramp_per_epoch(tiny_dataset, tmp_path):
+    def recorded(epochs):
+        cfg = ex.variant_config(
+            "schcaps", tiny_dataset, tmp_path / f"sch{epochs}", epochs=epochs, batch_size=8
+        )
+        summary = ex.train(cfg, log=lambda m: None)
+        return [json.loads(l)["w_ent"] for l in open(summary["metrics"])]
+
+    assert recorded(3) == [0.0, 0.4, 0.8]
+    # a one-epoch run trains at the end of the ramp
+    assert recorded(1) == [0.8]
 
 
 def test_equal_routing_trains_and_reports_exact_entropy(tiny_dataset, tmp_path):

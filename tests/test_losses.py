@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from capgram import autodiff as ad
+from capgram import experiment as ex
 from capgram import losses as ls
 from capgram import routing as rt
 from capgram.autodiff import Tensor
+from capgram.config import ConfigError
 
 
 def _trace(c):
-    t = rt.RoutingTrace(iterations=1)
+    t = rt.RoutingTrace()
     t.coefficients.append(c if isinstance(c, Tensor) else Tensor(c))
     return t
 
@@ -18,7 +20,7 @@ def _trace(c):
 
 
 def test_margin_zero_when_hinges_inactive():
-    loss = ls.margin_loss(Tensor(np.array([0.9, 0.1])), 0, 0.9, 0.1, 0.5)
+    loss = ls.margin_loss(Tensor(np.array([0.9, 0.1])), 0)
     assert loss.item() == 0.0
 
 
@@ -100,19 +102,19 @@ def test_entropy_loss_empty_rejected():
 def test_combined_identities():
     m = Tensor(np.array(0.7))
     e = Tensor(np.array(1.3))
-    assert ls.combined_loss(m, e, ls.LossWeights(1.0, 0.0)).item() == 0.7
-    assert ls.combined_loss(m, e, ls.LossWeights(0.0, 1.0)).item() == 1.3
+    assert ls.combined_loss(m, e, 0.0).item() == 0.7
+    assert ls.combined_loss(m, e, 1.0).item() == 1.3
 
 
 def test_combined_hand_value():
     m = Tensor(np.array(0.24))
     e = Tensor(np.array(np.log(2.0)))
-    got = ls.combined_loss(m, e, ls.LossWeights(0.6, 0.4)).item()
+    got = ls.combined_loss(m, e, 0.4).item()
     assert got == pytest.approx(0.42126, abs=1e-5)
 
 
 def test_combined_linear_in_both():
-    w = ls.LossWeights(0.3, 0.7)
+    w = 0.7
     a = ls.combined_loss(Tensor(np.array(2.0)), Tensor(np.array(0.0)), w).item()
     b = ls.combined_loss(Tensor(np.array(0.0)), Tensor(np.array(2.0)), w).item()
     ab = ls.combined_loss(Tensor(np.array(2.0)), Tensor(np.array(2.0)), w).item()
@@ -120,55 +122,49 @@ def test_combined_linear_in_both():
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# the entropy-weight ramp (RunConfig.w_ent)
 
 
-def _ramp(total=50, end=0.8):
-    return ls.LossSchedule(0.0, end, total)
+def _run(start=0.0, end=0.8, epochs=50):
+    return ex.RunConfig("d", "o", w_ent_start=start, w_ent_end=end, epochs=epochs)
 
 
 def test_ramp_start_is_pure_classification():
-    w = ls.schedule_weights(0, _ramp())
-    assert (w.w_cls, w.w_ent) == (1.0, 0.0)
+    assert _run().w_ent(0) == 0.0
 
 
 def test_ramp_final_epoch():
-    w = ls.schedule_weights(49, _ramp())
-    assert w.w_ent == pytest.approx(0.8, abs=1e-12)
-    assert w.w_cls == pytest.approx(0.2, abs=1e-12)
+    assert _run().w_ent(49) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_ramp_midpoint_value():
-    w = ls.schedule_weights(25, _ramp())
-    assert w.w_ent == pytest.approx(0.8 * 25 / 49, abs=1e-9)
+    assert _run().w_ent(25) == pytest.approx(0.8 * 25 / 49, abs=1e-9)
 
 
 def test_fixed_mode_constant():
-    sched = ls.LossSchedule(0.4, 0.4, 30)
+    cfg = _run(0.4, 0.4, 30)
     for epoch in (0, 15, 29):
-        w = ls.schedule_weights(epoch, sched)
-        assert (w.w_cls, w.w_ent) == (0.6, 0.4)
-        assert abs(w.w_cls + w.w_ent - 1.0) <= 1e-9
+        assert cfg.w_ent(epoch) == 0.4
 
 
 def test_schedule_monotone_in_entropy_weight():
-    sched = _ramp(total=30)
-    weights = [ls.schedule_weights(e, sched).w_ent for e in range(30)]
+    cfg = _run(epochs=30)
+    weights = [cfg.w_ent(e) for e in range(30)]
     assert all(b >= a for a, b in zip(weights, weights[1:]))
 
 
 def test_epoch_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        ls.schedule_weights(50, _ramp(total=50))
+        _run(epochs=50).w_ent(50)
     with pytest.raises(ValueError, match="out of range"):
-        ls.schedule_weights(-1, _ramp(total=50))
+        _run(epochs=50).w_ent(-1)
 
 
 def test_invalid_schedules_rejected():
-    with pytest.raises(ValueError):
-        ls.LossSchedule(0.9, 0.1, 10)
-    with pytest.raises(ValueError):
-        ls.LossWeights(-0.1, 0.5)
+    with pytest.raises(ConfigError):
+        _run(0.9, 0.1, 10)
+    with pytest.raises(ConfigError):
+        _run(-0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +183,7 @@ def test_margin_plus_entropy_grad_check():
         )
         m = ls.margin_loss(acts, 1)
         e = ls.entropy_loss([trace])
-        return ls.combined_loss(m, e, ls.LossWeights(0.6, 0.4))
+        return ls.combined_loss(m, e, 0.4)
 
     err = ad.grad_check(f, Tensor(rng.normal(size=12)), step=1e-5)
     assert err < 1e-4

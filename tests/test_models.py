@@ -184,6 +184,8 @@ def test_cnn_grad_check():
 
 def test_checkpoint_round_trip_byte_exact(tmp_path):
     m = md.build_capsnet(MINI, seed=8)
+    # beyond f32 range, but finite for this f64 model
+    m.params["routed.1.filters"].data[0, 1, 2, 0, 1] = 1e300
     p1 = tmp_path / "a.ckpt"
     md.save_checkpoint(m, p1)
     state = md.load_checkpoint(p1)
@@ -233,11 +235,20 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
         md.load_state(other, md.load_checkpoint(p))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_checkpoint_non_finite_value_rejected(tmp_path, bad):
+@pytest.mark.parametrize(
+    "dtype, bad",
+    [
+        pytest.param(np.float64, np.nan, id="nan"),
+        pytest.param(np.float64, np.inf, id="inf"),
+        # finite in the f64 checkpoint, inf once cast to the model's f32
+        pytest.param(np.float32, 1e300, id="f32-overflow"),
+    ],
+)
+def test_checkpoint_non_finite_value_rejected(tmp_path, dtype, bad):
     m = md.build_capsnet(MINI, seed=8)
     m.params["routed.1.filters"].data[0, 1, 2, 0, 1] = bad
     p = tmp_path / "mini.ckpt"
     md.save_checkpoint(m, p)
     with pytest.raises(ValueError, match=r"'routed.1.filters' holds non-finite"):
-        md.load_state(md.build_capsnet(MINI, seed=8), md.load_checkpoint(p))
+        md.load_state(md.build_capsnet(MINI, seed=8, dtype=dtype), md.load_checkpoint(p))
+

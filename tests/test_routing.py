@@ -149,15 +149,15 @@ def test_hand_trace_agreement_update():
     c2 = trace.coefficients[1].data
     np.testing.assert_allclose(c2[:, 0, 0, 0], [0.62246, 0.62246], atol=1e-4)
     np.testing.assert_allclose(c2[:, 1, 0, 0], [0.37754, 0.37754], atol=1e-4)
-    # iteration-1 logits all zero
-    np.testing.assert_array_equal(trace.logits[0].data, np.zeros((2, 2, 1, 1)))
+    # iteration 1 softmaxes all-zero logits: exactly 1/n_out
+    np.testing.assert_array_equal(trace.coefficients[0].data, np.full((2, 2, 1, 1), 0.5))
 
 
 def test_coefficients_form_simplex_every_iteration():
     rng = np.random.default_rng(5)
     S = _random_stack(rng, I=3, J=4, scale=2.0)
     _, trace = rt.dynamic_route(S, 4)
-    assert trace.iterations == 4
+    assert len(trace.coefficients) == 4
     for c in trace.coefficients:
         assert np.all(c.data >= 0)
         np.testing.assert_allclose(c.data.sum(axis=-3), 1.0, atol=1e-9)
@@ -206,7 +206,7 @@ def test_capsule_norms_below_one_after_routing():
 
 
 def _trace_with_coefficients(c):
-    t = rt.RoutingTrace(iterations=1)
+    t = rt.RoutingTrace()
     t.coefficients.append(Tensor(c))
     return t
 
