@@ -104,10 +104,10 @@ def time_site(np, ad, site, dtype):
     return {"fwd_ms": min_ms(lambda: ad.correlate2d(*args)), "bwd_ms": min_ms(lambda: out._backward(g))}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_correlate2d.json"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(BLAS_THREADS)

@@ -148,12 +148,23 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _tracked(parents):
+    """Whether a node built on ``parents`` joins the graph (else it is a constant)."""
+    return _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents)
+
+
 def _node(data, parents, backward):
-    if _grad_enabled and any(
-        p.requires_grad or p._backward is not None for p in parents
-    ):
+    if _tracked(parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
+
+
+def _require_finite(x, op):
+    """Reject non-finite values, naming the first offending index."""
+    bad = ~np.isfinite(x)
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{op} requires finite inputs; value {x[idx]!r} at index {idx}")
 
 
 def _unbroadcast(grad, shape):
@@ -345,6 +356,11 @@ def reshape(a, shape):
 # normalization primitives
 
 
+def _softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis):
     """Numerically stable softmax along one axis.
 
@@ -352,16 +368,8 @@ def softmax(a, axis):
     non-finite inputs, naming the first offending index.
     """
     a = _as_tensor(a)
-    bad = ~np.isfinite(a.data)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"softmax requires finite inputs; value {a.data[idx]!r} at index {idx}"
-        )
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    _require_finite(a.data, "softmax")
+    out = _softmax(a.data, axis)
 
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)

@@ -237,10 +237,20 @@ def load_dataset(path):
     if not cfg_path.exists():
         raise ConfigError(f"{root}: not a dataset directory (missing config.json)")
     with open(cfg_path) as fh:
-        recorded = json.load(fh)
-    unknown = set(recorded) - {f.name for f in fields(DatasetConfig)}
+        try:
+            recorded = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise ConfigError(f"{cfg_path}: not valid JSON: {exc}") from exc
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{cfg_path}: expected a JSON object, got {type(recorded).__name__}")
+    kinds = {f.name: f.type for f in fields(DatasetConfig)}
+    unknown = set(recorded) - set(kinds)
     if unknown:
         raise ConfigError(f"{cfg_path}: unknown config keys: {sorted(unknown)}")
+    for key, value in sorted(recorded.items()):
+        allowed = int if kinds[key] == "int" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"{cfg_path}: {key} must be {kinds[key]}, got {value!r}")
     config = DatasetConfig(**recorded)
     images = {}
     labels = {}

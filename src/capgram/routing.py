@@ -3,12 +3,23 @@
 Capsules are plain tensors [..., types, dim, H, W]: one vector per capsule
 type and position. Deeper capsules are built by letting every shallow type
 predict every deep type through a shared convolutional bank (predictions
-[..., n_in, n_out, dim, H, W]), then iterating: softmax the routing logits
-over deep types, combine predictions with the resulting coefficients,
-squash, and add the prediction/output agreement back onto the logits.
-Gradients flow through all iterations, including the coefficients'
-dependence on the logits — the entropy loss needs that path. Equal routing
-is one iteration of the same loop: softmax of the zero starting logits.
+S [..., n_in, n_out, dim, H, W]), then iterating: softmax the routing
+logits over deep types, combine predictions with the resulting
+coefficients, squash, and add the prediction/output agreement back onto
+the logits. Equal routing is one iteration of the same loop: softmax of
+the zero starting logits, exactly 1/n_out.
+
+The loop is one graph node over S. Its forward copies S once to
+[B, n_out, H·W, n_in, dim], so that for each (sample, deep type,
+position) the weighted sum over shallow types and the agreement with the
+output are one batched matrix product each. The node's data is one flat
+buffer holding the deep capsules and the last round's coefficients; the
+two are returned as reshaped views of it, so the backward sweep reaches
+the node once however many of them the loss uses. Its backward is written
+by hand: it runs back through every round (softmax Jacobian, squash,
+agreement) and assembles dL/dS from the per-round outer products in one
+matrix product. Gradients flow through the coefficients' dependence on
+the logits, the path the entropy loss needs.
 
 The coefficient rows are a distribution over deep types for each shallow
 capsule and position; their argmax defines a parse forest, and their
@@ -32,9 +43,10 @@ SQUASH_NORM_EPSILON = 1e-8
 class RoutingTrace:
     """Routing state, one list entry per iteration.
 
-    coefficients[t] has shape [..., n_in, n_out, H, W]. entropy_mean[t] is
-    the mean coefficient-row entropy in nats at iteration t (reporting only;
-    the differentiable entropy is recomputed from coefficients[-1]).
+    coefficients[t] has shape [..., n_in, n_out, H, W]; only the last is a
+    graph node, earlier rounds' are constants. entropy_mean[t] is the mean
+    coefficient-row entropy in nats at iteration t (reporting only; the
+    differentiable entropy is recomputed from coefficients[-1]).
     """
 
     coefficients: list = field(default_factory=list)
@@ -111,29 +123,85 @@ def _entropy_stat(c):
 
 
 def _route(S, iters):
-    """Route predictions S [..., n_in, n_out, dim, H, W] for ``iters`` rounds.
-
-    Coefficients are the softmax of the logits over deep types. The logits
-    start at zero, so the first round's coefficients are exactly 1/n_out.
-    """
+    """Route predictions S [..., n_in, n_out, dim, H, W] for ``iters`` rounds
+    as one graph node (see the module docstring); returns the deep capsules
+    [..., n_out, dim, H, W] and the trace."""
     if S.ndim < 5:
         raise ValueError(f"predictions need [..., in, out, dim, H, W], got {S.shape}")
-    logits_shape = S.shape[:-3] + S.shape[-2:]  # drop the dim axis
-    b = Tensor(np.zeros(logits_shape, dtype=S.dtype))
+    lead = S.shape[:-5]
+    I, J, D, H, W = S.shape[-5:]
+    B, P = int(np.prod(lead)), H * W
+    # one [n_in, dim] block per (sample, deep type, position), so the
+    # weighted sum over shallow types and the agreement are batched matmuls
+    s = np.ascontiguousarray(S.data.reshape(B, I, J, D, P).transpose(0, 2, 4, 1, 3))
+    coeff_shape = lead + (I, J, H, W)
+    n_caps, n_coeff = B * J * D * P, B * I * J * P
+    flat = np.empty(n_caps + n_coeff, dtype=S.dtype)
+
+    saved = [] if ad._tracked((S,)) else None
     trace = RoutingTrace()
-    out = None
+    b = np.zeros((B, J, P, I), dtype=S.dtype)
     for t in range(iters):
-        c = ad.softmax(b, axis=-3)
-        trace.coefficients.append(c)
-        trace.entropy_mean.append(_entropy_stat(c.data))
-        c_e = ad.reshape(c, c.shape[:-2] + (1,) + c.shape[-2:])
-        f = ad.reduce_sum(ad.mul(c_e, S), axis=-5)
-        out = squash(f, axis=-3)
-        if t + 1 < iters:  # the last round's agreement would feed no softmax
-            f_e = ad.reshape(out, out.shape[:-4] + (1,) + out.shape[-4:])
-            agreement = ad.reduce_sum(ad.mul(S, f_e), axis=-3)
-            b = ad.add(b, agreement)
-    return out, trace
+        last = t + 1 == iters
+        if t:
+            ad._require_finite(b.transpose(0, 3, 1, 2).reshape(coeff_shape), "routing softmax")
+        c = ad._softmax(b, axis=1)
+        f = np.matmul(c[..., None, :], s)  # [B, J, P, 1, D]
+        n = np.sqrt(np.matmul(f, f.swapaxes(-1, -2)) + SQUASH_NORM_EPSILON**2)
+        v = f * (n / (n * n + 1.0))
+        if saved is not None:
+            saved.append((c, f, n, v))
+        c_out = flat[n_caps:] if last else np.empty(n_coeff, dtype=S.dtype)
+        c_out.reshape(B, I, J, P)[...] = c.transpose(0, 3, 1, 2)
+        c_out = c_out.reshape(coeff_shape)
+        trace.entropy_mean.append(_entropy_stat(c_out))
+        if not last:  # the last round's agreement would feed no softmax
+            trace.coefficients.append(Tensor(c_out))
+            b = b + np.matmul(s, v.swapaxes(-1, -2))[..., 0]
+    flat[:n_caps].reshape(B, J, D, P)[...] = v[..., 0, :].swapaxes(-1, -2)
+
+    def backward(g):
+        gv = np.ascontiguousarray(g[:n_caps].reshape(B, J, D, P).swapaxes(-1, -2))[..., None, :]
+        gc = g[n_caps:].reshape(B, I, J, P).transpose(0, 2, 3, 1)
+        # dL/dS is a sum of 2 * iters - 1 outer products per block (one per
+        # weighted sum, one per agreement); stack their factors for one matmul
+        left = np.empty((B, J, P, I, 2 * iters - 1), dtype=s.dtype)
+        right = np.empty((B, J, P, 2 * iters - 1, D), dtype=s.dtype)
+        gb = None  # adjoint of the logits of round t + 1
+        for t in reversed(range(iters)):
+            c, f, n, v = saved[t]
+            if t + 1 < iters:  # agreement: b_{t+1} = b_t + S v_t
+                gv = np.matmul(gb[..., None, :], s)
+                left[..., 2 * t + 1] = gb
+                right[..., 2 * t + 1, :] = v[..., 0, :]
+            # squash v = f k(n), k = n / (1 + n^2), n = sqrt(|f|^2 + eps^2)
+            nn1 = n * n + 1.0
+            dk_n = (1.0 - n * n) / (nn1 * nn1 * n)
+            gf = gv * (n / nn1) + f * (np.matmul(gv, f.swapaxes(-1, -2)) * dk_n)
+            left[..., 2 * t] = c
+            right[..., 2 * t, :] = gf[..., 0, :]
+            if t == 0:  # the first logits are constant zeros
+                break
+            gc_t = np.matmul(s, gf.swapaxes(-1, -2))[..., 0]
+            if t + 1 == iters:
+                gc_t += gc
+            gl = c * (gc_t - (gc_t * c).sum(axis=1, keepdims=True))
+            gb = gl if gb is None else gb + gl
+        gs = np.matmul(left, right)
+        return (gs.transpose(0, 3, 1, 4, 2).reshape(S.shape),)
+
+    node = ad._node(flat, (S,), backward)
+
+    def view(lo, hi, shape):
+        def backward(g):
+            full = np.zeros_like(flat)
+            full[lo:hi] = g.reshape(-1)
+            return (full,)
+
+        return ad._node(flat[lo:hi].reshape(shape), (node,), backward)
+
+    trace.coefficients.append(view(n_caps, flat.size, coeff_shape))
+    return view(0, n_caps, lead + (J, D, H, W)), trace
 
 
 def dynamic_route(S, iters):

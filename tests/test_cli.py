@@ -189,6 +189,22 @@ def test_unknown_dataset_config_json_key_exit_1(tmp_path, capsys):
     assert "unknown config keys: ['glyph_size']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "not valid JSON"), ('{"n_train": "abc"}', "n_train must be int, got 'abc'")],
+    ids=["truncated", "string_count"],
+)
+def test_malformed_dataset_config_json_exit_1(tmp_path, capsys, text, message):
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "c.cfg", data)
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    (data / "config.json").write_text(text)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bad_subcommand_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

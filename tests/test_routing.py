@@ -32,6 +32,22 @@ def naive_equal_route(S):
     return out
 
 
+def composed_route(S, iters):
+    """Routing as a graph of ``ad`` primitives: a node per softmax, weighted
+    sum, squash and agreement update of every round."""
+    b = Tensor(np.zeros(S.shape[:-3] + S.shape[-2:], dtype=S.dtype))
+    coefficients = []
+    for t in range(iters):
+        c = ad.softmax(b, axis=-3)
+        coefficients.append(c)
+        c_e = ad.reshape(c, c.shape[:-2] + (1,) + c.shape[-2:])
+        out = rt.squash(ad.reduce_sum(ad.mul(c_e, S), axis=-5), axis=-3)
+        if t + 1 < iters:
+            f_e = ad.reshape(out, out.shape[:-4] + (1,) + out.shape[-4:])
+            b = ad.add(b, ad.reduce_sum(ad.mul(S, f_e), axis=-3))
+    return out, coefficients
+
+
 def naive_predict(caps, filters, stride=1, padding=0):
     """Per-(i, j) loop over correlate2d's quadruple-loop oracle."""
     I = caps.shape[0]
@@ -199,6 +215,109 @@ def test_capsule_norms_below_one_after_routing():
     routed, _ = rt.dynamic_route(S, 3)
     norms = np.linalg.norm(routed.data, axis=-3)
     assert np.all(norms < 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the routing node against the composed graph
+
+ROUTE_SHAPES = {
+    "l0_like": (2, 3, 4, 3, 3, 3),  # [B, n_in, n_out, dim, H, W] with spatial extent
+    "l1_like": (3, 4, 2, 5, 1, 1),
+    "one_input_type": (2, 1, 3, 4, 2, 2),
+}
+# loss weights on (capsules, final-coefficient entropy)
+ADJOINTS = {"capsules": (1.0, 0.0), "entropy": (0.0, 1.0), "both": (1.0, 1.0)}
+
+
+def _route_loss(caps, final_coefficients, proj, weights):
+    w_caps, w_ent = weights
+    trace = rt.RoutingTrace(coefficients=[final_coefficients])
+    terms = []
+    if w_caps:
+        terms.append(ad.scale(ad.reduce_sum(ad.mul(caps, Tensor(proj))), w_caps))
+    if w_ent:
+        terms.append(ad.scale(rt.routing_entropy(trace), w_ent))
+    return terms[0] if len(terms) == 1 else ad.add(*terms)
+
+
+@pytest.mark.parametrize("adjoint", sorted(ADJOINTS))
+@pytest.mark.parametrize("shape", sorted(ROUTE_SHAPES))
+@pytest.mark.parametrize("iters", [1, 3])
+def test_route_node_matches_composed_graph(shape, adjoint, iters):
+    rng = np.random.default_rng(17)
+    S0 = rng.normal(scale=2.0, size=ROUTE_SHAPES[shape])
+    proj = rng.normal(size=S0.shape[:1] + S0.shape[2:])
+    S = Tensor(S0.copy(), requires_grad=True)
+    caps, trace = rt.dynamic_route(S, iters)
+    _route_loss(caps, trace.coefficients[-1], proj, ADJOINTS[adjoint]).backward()
+    S_ref = Tensor(S0.copy(), requires_grad=True)
+    caps_ref, coefficients_ref = composed_route(S_ref, iters)
+    _route_loss(caps_ref, coefficients_ref[-1], proj, ADJOINTS[adjoint]).backward()
+
+    np.testing.assert_allclose(caps.data, caps_ref.data, rtol=1e-10, atol=1e-14)
+    assert len(trace.coefficients) == len(trace.entropy_mean) == iters
+    for c, c_ref in zip(trace.coefficients, coefficients_ref):
+        np.testing.assert_allclose(c.data, c_ref.data, rtol=1e-10, atol=1e-14)
+    if S_ref.grad is None:  # the entropy of equal routing does not depend on S
+        assert iters == 1 and adjoint == "entropy"
+        np.testing.assert_array_equal(S.grad, 0.0)
+    else:
+        np.testing.assert_allclose(S.grad, S_ref.grad, rtol=1e-10, atol=1e-14)
+
+
+def test_route_is_one_node_with_one_backward_per_sweep():
+    rng = np.random.default_rng(18)
+    S = Tensor(rng.normal(size=(2, 3, 4, 3, 2, 2)), requires_grad=True)
+    caps, trace = rt.dynamic_route(S, 3)
+    (node,) = caps._parents
+    assert trace.coefficients[-1]._parents == (node,)
+    assert node._parents == (S,)
+    # earlier rounds' coefficients are constants for the graph
+    assert all(c._backward is None for c in trace.coefficients[:-1])
+    calls = []
+    inner = node._backward
+    node._backward = lambda g: calls.append(g) or inner(g)
+    loss = ad.add(ad.reduce_sum(caps), rt.routing_entropy(trace))
+    loss.backward()
+    assert len(calls) == 1
+
+
+def test_route_node_grad_check_capsules_plus_entropy():
+    rng = np.random.default_rng(19)
+    shape = (2, 2, 3, 2, 2, 1)
+    proj = rng.normal(size=(2, 3, 2, 2, 1))
+
+    def f(S_flat):
+        routed, trace = rt.dynamic_route(ad.reshape(S_flat, shape), 3)
+        return _route_loss(routed, trace.coefficients[-1], proj, ADJOINTS["both"])
+
+    assert ad.grad_check(f, Tensor(rng.normal(size=int(np.prod(shape)))), step=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_route_no_grad_forward_is_bitwise_and_keeps_no_state(dtype):
+    rng = np.random.default_rng(20)
+    S0 = rng.normal(size=(3, 4, 3, 2, 3, 2)).astype(dtype)
+    caps, trace = rt.dynamic_route(Tensor(S0, requires_grad=True), 3)
+    with ad.no_grad():
+        caps_ng, trace_ng = rt.dynamic_route(Tensor(S0, requires_grad=True), 3)
+    np.testing.assert_array_equal(caps_ng.data, caps.data)
+    for c_ng, c in zip(trace_ng.coefficients, trace.coefficients):
+        np.testing.assert_array_equal(c_ng.data, c.data)
+    assert trace_ng.entropy_mean == trace.entropy_mean
+    for t in [caps_ng] + trace_ng.coefficients:
+        assert t._backward is None and t._parents == ()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_route_non_finite_predictions_raise(bad):
+    rng = np.random.default_rng(21)
+    S0 = rng.normal(size=(2, 3, 2, 2, 2, 2))
+    S0[1, 2, 0, 1, 0, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match="routing softmax requires finite inputs"
+    ):
+        rt.dynamic_route(Tensor(S0), 3)
 
 
 # ---------------------------------------------------------------------------
