@@ -3,7 +3,7 @@
 
 Usage, from the repository root (capgram is imported from ``src/``):
 
-    python3 scripts/bench_routing.py [--label after] [--out BENCH_routing.json]
+    python3 scripts/bench_routing.py [--out BENCH_routing.json]
 
 The layers are the dynamic_route calls one forward pass of the default
 CapsNet makes at batch 32, recorded with the shapes of their predictions S
@@ -12,11 +12,11 @@ random predictions that require gradients: forward is one dynamic_route
 call; forward + backward adds the loss the regularised variants take
 through routing (a fixed projection of the capsules plus the routing
 entropy) and one backward sweep. Each time is the minimum of 15 calls after
-one warm-up call, with BLAS pinned to one thread. The run, with the
-environment and the commit it ran on (``-dirty`` with local edits), is
-stored under ``--label`` in the JSON at ``--out``; runs under other labels
-already in that file are kept, so one file holds the runs of two commits
-side by side.
+one warm-up call, with BLAS pinned to one thread. The run, with its
+environment, is appended to the list of runs of the commit it ran on
+(``git describe --always --dirty``) in the JSON at ``--out``; runs already
+in that file are kept, so running the script on two commits in turn puts
+their runs side by side.
 """
 
 import argparse
@@ -91,14 +91,13 @@ def commit():
             capture_output=True, text=True, check=True,
         )
     except (OSError, subprocess.CalledProcessError):
-        return None
+        return "unknown"
     return out.stdout.strip()
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_routing.json"))
-    parser.add_argument("--label", default="after")
     args = parser.parse_args(argv)
 
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -124,19 +123,12 @@ def main(argv=None):
             flush=True,
         )
     out = Path(args.out)
-    result = json.loads(out.read_text()) if out.exists() else {}
-    result["benchmark"] = "routing"
-    result.setdefault("runs", {})[args.label] = {
-        "commit": commit(),
-        "batch": BATCH,
-        "reps": REPS,
-        "statistic": "min",
-        "environment": environment(np),
-        "layers": layers,
-        "totals": totals,
-    }
+    result = json.loads(out.read_text()) if out.exists() else {"benchmark": "routing", "runs": {}}
+    result["runs"].setdefault(commit(), []).append(
+        {"batch": BATCH, "reps": REPS, "statistic": "min", "environment": environment(np), "layers": layers, "totals": totals}
+    )
     out.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {args.label} to {out}")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

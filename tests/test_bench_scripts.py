@@ -51,14 +51,15 @@ def test_bench_conv_smoke(load_script, tmp_path):
 def test_bench_routing_smoke(load_script, tmp_path):
     out = tmp_path / "routing.json"
     bench = load_script("bench_routing")
-    bench.main(["--out", str(out), "--label", "before"])
+    bench.main(["--out", str(out)])
     bench.main(["--out", str(out)])
     result = json.loads(out.read_text())
     assert result["benchmark"] == "routing"
-    assert set(result["runs"]) == {"before", "after"}
-    run = result["runs"]["after"]
+    ((commit, runs),) = result["runs"].items()  # both runs kept under one commit
+    assert commit == bench.commit() and len(runs) == 2
+    run = runs[-1]
     assert run["reps"] == 1 and run["batch"] == 2
-    assert {"commit", "environment", "layers", "totals"} <= set(run)
+    assert {"environment", "layers", "totals"} <= set(run)
     assert [(l["layer"], l["predictions"][0], l["iters"]) for l in run["layers"]] == [
         ("L0", 2, 3), ("L1", 2, 3)
     ]
