@@ -20,7 +20,7 @@ print("predictions S[i, j]:", S[:, :, 0, 0, 0].tolist())
 routed, trace = rt.dynamic_route(S_t, iters=5)
 print("\niter   c[i=0, j=0]   row entropy (nats)")
 for t, c in enumerate(trace.coefficients):
-    print(f"{t + 1:3d}    {c.data[0, 0, 0, 0]:.5f}       {trace.entropy_mean[t]:.5f}")
+    print(f"{t + 1:3d}    {c.data[0, 0, 0, 0]:.5f}       {trace.entropy_mean(t):.5f}")
 print("\ndeep capsule values:", routed.data[:, 0, 0, 0].round(5).tolist())
 print("squash keeps norms below 1:", float(np.abs(routed.data).max()) < 1.0)
 

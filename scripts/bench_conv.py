@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time every correlate2d call site of the capsnet and the CNN, forward and backward.
+"""Time every spatial call site of the capsnet and the CNN, forward and backward.
 
 Usage, from the repository root (capgram is imported from ``src/``):
 
@@ -7,13 +7,17 @@ Usage, from the repository root (capgram is imported from ``src/``):
 
 The sites are the correlate2d calls one forward pass of the default CapsNet
 (stem0, stem1, primary, predict0, predict1) and CNN (conv0..conv3, head)
-makes at batch 32, recorded in call order with their shapes. Each site runs
-in float32 and float64 on fixed random inputs: forward is one correlate2d
-call on inputs that require gradients, backward one call of the node's
-backward closure with a fixed adjoint. Each time is the minimum of 15 calls
-after one warm-up call, with BLAS pinned to one thread. The JSON written to
-``--out`` holds the per-site times, per-model totals and the environment
-(numpy version, BLAS configuration and threads, nproc).
+makes at batch 32, and the CNN's max_pool_window calls (pool0, pool1),
+recorded in call order with their shapes. Each site runs in float32 and
+float64 on fixed random inputs: forward is one call on inputs that require
+gradients, backward one call of the node's backward closure with a fixed
+adjoint. Each time is the minimum of 15 calls after one warm-up call, with
+BLAS pinned to one thread. The run (per-site times, totals per model and
+function, and the environment: numpy version, BLAS configuration and
+threads, nproc) is appended to the list of runs of the commit it ran on
+(``git describe --always --dirty``) in the JSON at ``--out``; runs already
+in that file are kept, so running the script on two commits in turn puts
+their runs side by side.
 """
 
 import argparse
@@ -21,15 +25,18 @@ import ctypes
 import glob
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SITES = {
-    "capsnet": ("stem0", "stem1", "primary", "predict0", "predict1"),
-    "cnn": ("conv0", "conv1", "conv2", "conv3", "head"),
+SITES = {  # (model, function): site names in call order
+    ("capsnet", "correlate2d"): ("stem0", "stem1", "primary", "predict0", "predict1"),
+    ("cnn", "correlate2d"): ("conv0", "conv1", "conv2", "conv3", "head"),
+    ("cnn", "max_pool_window"): ("pool0", "pool1"),
 }
+MODELS = ("capsnet", "cnn")
 DTYPES = ("float32", "float64")
 BATCH = 32
 REPS = 15
@@ -57,30 +64,51 @@ def environment(np):
     return env
 
 
+def commit():
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
 def find_sites(np, ad, models):
-    """Record each correlate2d call of one capsnet and one CNN forward pass."""
-    original = ad.correlate2d
+    """Record each correlate2d and max_pool_window call of one capsnet and
+    one CNN forward pass."""
+    correlate2d, max_pool_window = ad.correlate2d, ad.max_pool_window
     calls = []
 
-    def spy(a, kernels, stride=1, padding=0):
-        calls.append((tuple(a.shape), tuple(kernels.shape), int(stride), int(padding)))
-        return original(a, kernels, stride, padding)
+    def conv_spy(a, kernels, stride=1, padding=0):
+        calls.append(dict(
+            function="correlate2d", input=tuple(a.shape), kernels=tuple(kernels.shape),
+            stride=int(stride), padding=int(padding),
+        ))
+        return correlate2d(a, kernels, stride, padding)
+
+    def pool_spy(a, window, stride):
+        calls.append(dict(function="max_pool_window", input=tuple(a.shape), window=int(window), stride=int(stride)))
+        return max_pool_window(a, window, stride)
 
     sites = []
-    for model, build in (("capsnet", models.build_capsnet), ("cnn", models.build_cnn)):
-        net = build(seed=0)
+    for model in MODELS:
+        net = getattr(models, f"build_{model}")(seed=0)
         size = net.cfg.image_size
         calls.clear()
-        ad.correlate2d = spy
+        ad.correlate2d, ad.max_pool_window = conv_spy, pool_spy
         try:
             with ad.no_grad():
                 net.forward(np.zeros((BATCH, net.cfg.in_channels, size, size)))
         finally:
-            ad.correlate2d = original
-        if len(calls) != len(SITES[model]):
-            raise RuntimeError(f"{model}: expected {len(SITES[model])} correlate2d calls, saw {len(calls)}")
-        for name, (x_shape, w_shape, stride, padding) in zip(SITES[model], calls):
-            sites.append(dict(model=model, site=name, input=x_shape, kernels=w_shape, stride=stride, padding=padding))
+            ad.correlate2d, ad.max_pool_window = correlate2d, max_pool_window
+        for fn in ("correlate2d", "max_pool_window"):
+            names = SITES.get((model, fn), ())
+            seen = [call for call in calls if call["function"] == fn]
+            if len(seen) != len(names):
+                raise RuntimeError(f"{model}: expected {len(names)} {fn} calls, saw {len(seen)}")
+            sites.extend(dict(model=model, site=name, **call) for name, call in zip(names, seen))
     return sites
 
 
@@ -97,11 +125,15 @@ def min_ms(fn):
 def time_site(np, ad, site, dtype):
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.standard_normal(site["input"]).astype(dtype), requires_grad=True)
-    w = ad.Tensor(rng.standard_normal(site["kernels"]).astype(dtype), requires_grad=True)
-    args = (x, w, site["stride"], site["padding"])
-    out = ad.correlate2d(*args)
+    if site["function"] == "correlate2d":
+        w = ad.Tensor(rng.standard_normal(site["kernels"]).astype(dtype), requires_grad=True)
+        args = (x, w, site["stride"], site["padding"])
+    else:
+        args = (x, site["window"], site["stride"])
+    fn = getattr(ad, site["function"])
+    out = fn(*args)
     g = rng.standard_normal(out.shape).astype(dtype)
-    return {"fwd_ms": min_ms(lambda: ad.correlate2d(*args)), "bwd_ms": min_ms(lambda: out._backward(g))}
+    return {"fwd_ms": min_ms(lambda: fn(*args)), "bwd_ms": min_ms(lambda: out._backward(g))}
 
 
 def main(argv=None):
@@ -118,36 +150,34 @@ def main(argv=None):
     from capgram import models
 
     sites = find_sites(np, ad, models)
-    totals = {dt: {m: {"fwd_ms": 0.0, "bwd_ms": 0.0} for m in SITES} for dt in DTYPES}
+    totals = {dt: {f"{m}.{fn}": {"fwd_ms": 0.0, "bwd_ms": 0.0} for m, fn in SITES} for dt in DTYPES}
     print(f"{'site':9s} {'input':18s} {'kernels':16s} s p  " + "  ".join(f"{dt} fwd/bwd ms" for dt in DTYPES))
     for site in sites:
-        O, C, kH, kW = site["kernels"]
-        N, _, H, W = site["input"]
-        Ho = (H + 2 * site["padding"] - kH) // site["stride"] + 1
-        Wo = (W + 2 * site["padding"] - kW) // site["stride"] + 1
-        site["macs"] = N * O * Ho * Wo * C * kH * kW
-        site["forward_path"] = "gemm" if site["macs"] > ad.GEMM_WORK_THRESHOLD else "reference"
+        if site["function"] == "correlate2d":
+            O, C, kH, kW = site["kernels"]
+            N, _, H, W = site["input"]
+            Ho = (H + 2 * site["padding"] - kH) // site["stride"] + 1
+            Wo = (W + 2 * site["padding"] - kW) // site["stride"] + 1
+            site["macs"] = N * O * Ho * Wo * C * kH * kW
+            site["forward_path"] = "gemm" if site["macs"] > ad.GEMM_WORK_THRESHOLD else "reference"
         for dt in DTYPES:
             site[dt] = time_site(np, ad, site, dt)
             for key in ("fwd_ms", "bwd_ms"):
-                totals[dt][site["model"]][key] += site[dt][key]
+                totals[dt][f"{site['model']}.{site['function']}"][key] += site[dt][key]
+        window = site.get("kernels", f"window {site.get('window')}")
         print(
-            f"{site['site']:9s} {str(site['input']):18s} {str(site['kernels']):16s} "
-            f"{site['stride']} {site['padding']}  "
+            f"{site['site']:9s} {str(site['input']):18s} {str(window):16s} "
+            f"{site['stride']} {site.get('padding', 0)}  "
             + "  ".join(f"{site[dt]['fwd_ms']:8.3f} {site[dt]['bwd_ms']:8.3f}" for dt in DTYPES),
             flush=True,
         )
-    result = {
-        "benchmark": "correlate2d",
-        "batch": BATCH,
-        "reps": REPS,
-        "statistic": "min",
-        "environment": environment(np),
-        "sites": sites,
-        "totals": totals,
-    }
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out = Path(args.out)
+    result = json.loads(out.read_text()) if out.exists() else {"benchmark": "correlate2d", "runs": {}}
+    result["runs"].setdefault(commit(), []).append(
+        {"batch": BATCH, "reps": REPS, "statistic": "min", "environment": environment(np), "sites": sites, "totals": totals}
+    )
+    out.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -22,12 +22,11 @@ their runs side by side.
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from bench_conv import environment
+from bench_conv import commit, environment
 
 ROOT = Path(__file__).resolve().parent.parent
 DTYPES = ("float32", "float64")
@@ -82,17 +81,6 @@ def time_layer(np, ad, rt, layer, dtype):
         "fwd_ms": min_ms(lambda: rt.dynamic_route(S, iters)),
         "fwd_bwd_ms": min_ms(forward_backward),
     }
-
-
-def commit():
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return out.stdout.strip()
 
 
 def main(argv=None):

@@ -5,12 +5,15 @@ tolerances to; narrow precision (float32) is available for training speed.
 Primitives fix their floating-point evaluation order, so identical inputs
 produce bit-identical outputs on a given platform.
 
-``correlate2d`` lowers to matrix products over a batch-major im2col patch
-matrix [N, C·kH·kW, Ho·Wo] (Chellapilla et al., 2006).  Above
-``GEMM_WORK_THRESHOLD`` the forward multiplies the flattened kernels into
-the patches; the backward always rebuilds the patches, contracts them with
-the adjoint for the kernel gradient, and adds ``kernelsᵀ @ g`` back into
-the input gradient with col2im.
+Both spatial primitives cut their input into windows one way, as rows of
+a batch-major im2col patch matrix [N, C·kH·kW, Ho·Wo] (Chellapilla et al.,
+2006), and add window gradients back one way, with its adjoint col2im.
+``correlate2d``'s forward reads the patch matrix one row at a time at or
+below ``GEMM_WORK_THRESHOLD`` and multiplies the flattened kernels into it
+above; the backward always rebuilds the patches, contracts them with the
+adjoint for the kernel gradient, and adds ``kernelsᵀ @ g`` back into the
+input gradient with col2im.  ``max_pool_window`` takes each window's
+maximum over its patch rows and puts the adjoint back at that row.
 """
 
 from __future__ import annotations
@@ -23,15 +26,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 WIDE = np.float64
 NARROW = np.float32
 
-# correlate2d's forward picks its evaluation by work count: up to this many
-# multiply-accumulates it takes _corr2d_reference, whose accumulation order
-# the loop-oracle tests pin exactly (all of their inputs are small); above
-# it, a GEMM over the im2col patch matrix.  Backward always uses im2col and
-# col2im, whatever the size.  It rebuilds the patch matrix rather than
-# keeping the forward's: kept patches stay alive until the backward sweep
-# reaches their call (about 25 MB per f32 capsnet step at batch 32, which
-# raised training peak RSS by about half), while rebuilding costs well under
-# a millisecond a call.
+# correlate2d's forward reads the im2col patch matrix either way and picks
+# its evaluation by work count: up to this many multiply-accumulates it adds
+# one patch row at a time, an accumulation order the loop-oracle tests pin
+# exactly (all of their inputs are small); above it, one GEMM.  Backward
+# always uses im2col and col2im, whatever the size.  It rebuilds the patch
+# matrix rather than keeping the forward's: kept patches stay alive until
+# the backward sweep reaches their call (about 25 MB per f32 capsnet step at
+# batch 32, which raised training peak RSS by about half), while rebuilding
+# costs well under a millisecond a call.
 GEMM_WORK_THRESHOLD = 1_000_000
 
 _grad_enabled = True
@@ -159,12 +162,11 @@ def _node(data, parents, backward):
     return Tensor(data)
 
 
-def _require_finite(x, op):
-    """Reject non-finite values, naming the first offending index."""
-    bad = ~np.isfinite(x)
+def _reject(bad, x, what):
+    """Raise ``what`` if ``bad`` marks any entry of ``x``, naming the first."""
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"{op} requires finite inputs; value {x[idx]!r} at index {idx}")
+        raise ValueError(f"{what}; value {x[idx]!r} at index {idx}")
 
 
 def _unbroadcast(grad, shape):
@@ -279,12 +281,7 @@ def sigmoid(a):
 
 def log(a):
     a = _as_tensor(a)
-    bad = ~(a.data > 0)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"log requires positive inputs; value {a.data[idx]!r} at index {idx}"
-        )
+    _reject(~(a.data > 0), a.data, "log requires positive inputs")
     out = np.log(a.data)
 
     def backward(g):
@@ -305,19 +302,20 @@ def _normalize_axes(axis, ndim):
     return tuple(sorted(a % ndim for a in axis))
 
 
+def _spread(g, shape, axes, keepdims):
+    """Adjoint of a reduction over ``axes``: ``g`` copied along them."""
+    if not keepdims:
+        g = g.reshape([1 if i in axes else n for i, n in enumerate(shape)])
+    return np.broadcast_to(g, shape).copy()
+
+
 def reduce_sum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     axes = _normalize_axes(axis, a.data.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        gk = g
-        if not keepdims:
-            shape = list(a.data.shape)
-            for ax in axes:
-                shape[ax] = 1
-            gk = g.reshape(shape)
-        return (np.broadcast_to(gk, a.data.shape).copy(),)
+        return (_spread(g, a.data.shape, axes, keepdims),)
 
     return _node(out, (a,), backward)
 
@@ -331,13 +329,7 @@ def reduce_mean(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axes, keepdims=keepdims) / count
 
     def backward(g):
-        gk = g
-        if not keepdims:
-            shape = list(a.data.shape)
-            for ax in axes:
-                shape[ax] = 1
-            gk = g.reshape(shape)
-        return (np.broadcast_to(gk / count, a.data.shape).copy(),)
+        return (_spread(g / count, a.data.shape, axes, keepdims),)
 
     return _node(out, (a,), backward)
 
@@ -368,7 +360,7 @@ def softmax(a, axis):
     non-finite inputs, naming the first offending index.
     """
     a = _as_tensor(a)
-    _require_finite(a.data, "softmax")
+    _reject(~np.isfinite(a.data), a.data, "softmax requires finite inputs")
     out = _softmax(a.data, axis)
 
     def backward(g):
@@ -404,8 +396,10 @@ def l2_norm(a, axis, epsilon=1e-8, keepdims=False):
 def max_pool_window(a, window, stride):
     """Window maximum over the trailing two axes, then stride subsampling.
 
-    Ties within a window route the gradient to the first (row-major)
-    maximum, which keeps backward deterministic.
+    Each window is one column of ``_im2col`` rows over the input viewed as
+    [n, 1, H, W]; the maximum is taken over those rows.  Ties route the
+    gradient to the first (row-major) maximum, which keeps backward
+    deterministic.
     """
     a = _as_tensor(a)
     if a.data.ndim < 2:
@@ -420,40 +414,19 @@ def max_pool_window(a, window, stride):
     Ho = (H - window) // stride + 1
     Wo = (W - window) // stride + 1
     n_lead = int(np.prod(lead)) if lead else 1
-    xf = a.data.reshape(n_lead, H, W)
-    win = sliding_window_view(xf, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-    flat = win.reshape(n_lead, Ho, Wo, window * window)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out = out.reshape(tuple(lead) + (Ho, Wo))
+    shape = (n_lead, 1, H, W)
+    cols = _im2col(a.data.reshape(shape), window, window, stride, Ho, Wo)
+    # the backward keeps only the argmax rows, not the patch matrix
+    arg = cols.argmax(axis=1)[:, None]
+    out = np.take_along_axis(cols, arg, axis=1).reshape(tuple(lead) + (Ho, Wo))
 
     def backward(g):
-        gf = g.reshape(n_lead, Ho, Wo)
-        gx = np.zeros(n_lead * H * W, dtype=a.data.dtype)
-        n_idx, yo_idx, xo_idx = np.meshgrid(
-            np.arange(n_lead), np.arange(Ho), np.arange(Wo), indexing="ij"
-        )
-        rows = yo_idx * stride + arg // window
-        cols = xo_idx * stride + arg % window
-        flat_idx = (n_idx * H + rows) * W + cols
-        np.add.at(gx, flat_idx.reshape(-1), gf.reshape(-1))
+        gcols = np.zeros((n_lead, window * window, Ho * Wo), dtype=a.data.dtype)
+        np.put_along_axis(gcols, arg, g.reshape(n_lead, 1, Ho * Wo), axis=1)
+        gx = _col2im(gcols, shape, window, window, stride, Ho, Wo)
         return (gx.reshape(a.data.shape),)
 
     return _node(out, (a,), backward)
-
-
-def _corr2d_reference(xp, w, stride, Ho, Wo):
-    # Accumulates in (channel, kernel-row, kernel-col) order; per output
-    # cell this is bit-identical to a scalar quadruple loop.
-    N = xp.shape[0]
-    O, C, kH, kW = w.shape
-    out = np.zeros((N, O, Ho, Wo), dtype=xp.dtype)
-    for c in range(C):
-        for u in range(kH):
-            for v in range(kW):
-                patch = xp[:, c, u : u + stride * Ho : stride, v : v + stride * Wo : stride]
-                out += patch[:, None, :, :] * w[:, c, u, v][None, :, None, None]
-    return out
 
 
 def _im2col(xp, kH, kW, stride, Ho, Wo):
@@ -542,14 +515,18 @@ def correlate2d(a, kernels, stride=1, padding=0):
     w = kernels.data
     K, P = C * kH * kW, Ho * Wo
     w2 = w.reshape(O, K)
+    cols = _im2col(xp, kH, kW, stride, Ho, Wo)
     if N * O * P * K <= GEMM_WORK_THRESHOLD:
-        out = _corr2d_reference(xp, w, stride, Ho, Wo)
+        # Row k = c·kH·kW + u·kW + v in row order: per output cell the
+        # multiplies and adds of a scalar (c, u, v) loop, bit for bit.
+        out = np.zeros((N, O, P), dtype=xp.dtype)
+        for k in range(K):
+            out += cols[:, None, k, :] * w2[None, :, k, None]
     else:
-        cols = _im2col(xp, kH, kW, stride, Ho, Wo)
         # With a 1×1 output the patches are one [N, K] matrix: one GEMM
         # instead of N matrix-vector products.
         out = cols.reshape(N, K) @ w2.T if P == 1 else np.matmul(w2, cols)
-        out = out.reshape(N, O, Ho, Wo)
+    out = out.reshape(N, O, Ho, Wo)
 
     def backward(g):
         g3 = (g if batched else g[None]).reshape(N, O, P)

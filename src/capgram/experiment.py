@@ -199,7 +199,7 @@ def train(cfg, log=print):
                     out = model.forward(batch)
                     margin = ls.margin_loss(out.class_activations, targets)
                     # the CNN has no traces, and RunConfig holds its w_ent at 0
-                    entropy_value = float(sum(t.entropy_mean[-1] for t in out.traces))
+                    entropy_value = float(sum(t.entropy_mean() for t in out.traces))
                     if w_ent > 0.0:
                         total = ls.combined_loss(margin, ls.entropy_loss(out.traces), w_ent)
                     else:
@@ -273,7 +273,7 @@ def evaluate_model(model, data, split, dtype):
                 if entropy_sums is None:
                     entropy_sums = [0.0] * len(out.traces)
                 for l, trace in enumerate(out.traces):
-                    entropy_sums[l] += trace.entropy_mean[-1] * len(pred)
+                    entropy_sums[l] += trace.entropy_mean() * len(pred)
     per_layer = [s / n for s in entropy_sums] if entropy_sums else []
     return correct / n, per_layer
 
@@ -357,10 +357,11 @@ def inspect(cfg, checkpoint, index, split="val"):
                 name=f"parse_layer{l}",
             )
         )
-        per_iter = ", ".join(f"{h:.4f}" for h in trace.entropy_mean)
+        iters = len(trace.coefficients)
+        per_iter = ", ".join(f"{trace.entropy_mean(t):.4f}" for t in range(iters))
         rows.append(
-            f"{l:5d}  {len(trace.coefficients):5d}  {trace.n_out:5d}  "
-            f"{trace.entropy_mean[-1]:13.6f}  {np.log(trace.n_out):17.6f}  [{per_iter}]"
+            f"{l:5d}  {iters:5d}  {trace.n_out:5d}  "
+            f"{trace.entropy_mean():13.6f}  {np.log(trace.n_out):17.6f}  [{per_iter}]"
         )
     label = int(data.labels[split][index])
     acts = ", ".join(f"{a:.4f}" for a in out.class_activations.data[0])

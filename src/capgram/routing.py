@@ -44,17 +44,25 @@ class RoutingTrace:
     """Routing state, one list entry per iteration.
 
     coefficients[t] has shape [..., n_in, n_out, H, W]; only the last is a
-    graph node, earlier rounds' are constants. entropy_mean[t] is the mean
-    coefficient-row entropy in nats at iteration t (reporting only; the
-    differentiable entropy is recomputed from coefficients[-1]).
+    graph node, earlier rounds' are constants.
     """
 
     coefficients: list = field(default_factory=list)
-    entropy_mean: list = field(default_factory=list)
 
     @property
     def n_out(self):
         return self.coefficients[-1].shape[-3]
+
+    def entropy_mean(self, t=-1):
+        """Mean coefficient-row entropy in nats at iteration ``t``, a plain
+        float for reporting (``routing_entropy`` is the differentiable one).
+
+        Evaluated in wide precision whatever the routing dtype, so reported
+        entropies are comparable at 1e-9 even for narrow-precision runs.
+        """
+        c = self.coefficients[t].data.astype(np.float64, copy=False)
+        h = -(c * np.log(c + ENTROPY_LOG_GUARD)).sum(axis=-3)
+        return float(h.mean())
 
 
 @dataclass
@@ -111,17 +119,6 @@ def predict(caps, filters, stride=1, padding=0):
     return ad.reshape(y, tuple(lead) + (I, J, Do, Ho, Wo))
 
 
-def _entropy_stat(c):
-    """Mean coefficient-row entropy in nats, plain float (no graph).
-
-    Evaluated in wide precision whatever the routing dtype, so reported
-    entropies are comparable at 1e-9 even for narrow-precision runs.
-    """
-    c = c.astype(np.float64, copy=False)
-    h = -(c * np.log(c + ENTROPY_LOG_GUARD)).sum(axis=-3)
-    return float(h.mean())
-
-
 def _route(S, iters):
     """Route predictions S [..., n_in, n_out, dim, H, W] for ``iters`` rounds
     as one graph node (see the module docstring); returns the deep capsules
@@ -144,7 +141,8 @@ def _route(S, iters):
     for t in range(iters):
         last = t + 1 == iters
         if t:
-            ad._require_finite(b.transpose(0, 3, 1, 2).reshape(coeff_shape), "routing softmax")
+            bc = b.transpose(0, 3, 1, 2).reshape(coeff_shape)
+            ad._reject(~np.isfinite(bc), bc, "routing softmax requires finite inputs")
         c = ad._softmax(b, axis=1)
         f = np.matmul(c[..., None, :], s)  # [B, J, P, 1, D]
         n = np.sqrt(np.matmul(f, f.swapaxes(-1, -2)) + SQUASH_NORM_EPSILON**2)
@@ -154,7 +152,6 @@ def _route(S, iters):
         c_out = flat[n_caps:] if last else np.empty(n_coeff, dtype=S.dtype)
         c_out.reshape(B, I, J, P)[...] = c.transpose(0, 3, 1, 2)
         c_out = c_out.reshape(coeff_shape)
-        trace.entropy_mean.append(_entropy_stat(c_out))
         if not last:  # the last round's agreement would feed no softmax
             trace.coefficients.append(Tensor(c_out))
             b = b + np.matmul(s, v.swapaxes(-1, -2))[..., 0]

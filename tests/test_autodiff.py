@@ -267,6 +267,51 @@ def test_max_pool_vs_oracle():
         np.testing.assert_array_equal(got, naive_max_pool(x, window, stride))
 
 
+def naive_max_pool_grad(x, g, window, stride):
+    """Loop adjoint: each output's adjoint, in row-major output order, added
+    at its window's first row-major maximum."""
+    H, W = x.shape[-2:]
+    xf = x.reshape(-1, H, W)
+    gf = g.reshape((xf.shape[0],) + g.shape[-2:])
+    gx = np.zeros_like(xf)
+    for n in range(xf.shape[0]):
+        for y in range(gf.shape[1]):
+            for xx in range(gf.shape[2]):
+                win = xf[n, y * stride : y * stride + window, xx * stride : xx * stride + window]
+                u, v = divmod(int(win.argmax()), window)
+                gx[n, y * stride + u, xx * stride + v] += gf[n, y, xx]
+    return gx.reshape(x.shape)
+
+
+def _max_pool_grad(x, g, window, stride):
+    xt = Tensor(x, requires_grad=True)
+    ad.reduce_sum(ad.mul(ad.max_pool_window(xt, window, stride), Tensor(g))).backward()
+    return xt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [2, 3])
+def test_max_pool_grad_placement_and_ties_exact(window, dtype):
+    # stride = window: every input cell is in at most one window, and small
+    # integers tie within most windows
+    rng = np.random.default_rng(14)
+    x = rng.integers(0, 3, size=(2, 3, 7, 8)).astype(dtype)
+    g = rng.normal(size=(2, 3, 7 // window, 8 // window)).astype(dtype)
+    got = _max_pool_grad(x, g, window, window)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, naive_max_pool_grad(x, g, window, window))
+
+
+@pytest.mark.parametrize("window, stride", [(2, 1), (3, 2)])
+def test_max_pool_grad_placement_overlapping_windows(window, stride):
+    rng = np.random.default_rng(15)
+    x = rng.integers(0, 3, size=(2, 3, 7, 8)).astype(np.float64)
+    Ho, Wo = (7 - window) // stride + 1, (8 - window) // stride + 1
+    g = rng.normal(size=(2, 3, Ho, Wo))
+    got = _max_pool_grad(x, g, window, stride)
+    np.testing.assert_allclose(got, naive_max_pool_grad(x, g, window, stride), rtol=1e-12, atol=0)
+
+
 def test_max_pool_window_too_large():
     with pytest.raises(ValueError, match="exceeds spatial extents"):
         ad.max_pool_window(Tensor(np.zeros((2, 3, 3))), 4, 1)

@@ -35,17 +35,28 @@ def load_script(monkeypatch):
 
 def test_bench_conv_smoke(load_script, tmp_path):
     out = tmp_path / "conv.json"
-    load_script("bench_conv").main(["--out", str(out)])
+    earlier = {"batch": 32, "sites": [], "totals": {}}
+    out.write_text(json.dumps({"benchmark": "correlate2d", "runs": {"702392c": [earlier]}}))
+    bench = load_script("bench_conv")
+    bench.main(["--out", str(out)])
+    bench.main(["--out", str(out)])
     result = json.loads(out.read_text())
-    assert result["benchmark"] == "correlate2d" and result["reps"] == 1
-    assert {"environment", "sites", "totals"} <= set(result)
-    assert [s["site"] for s in result["sites"]] == [
-        "stem0", "stem1", "primary", "predict0", "predict1",
-        "conv0", "conv1", "conv2", "conv3", "head",
-    ]
-    for site in result["sites"]:
+    assert result["benchmark"] == "correlate2d"
+    assert result["runs"].pop("702392c") == [earlier]  # runs of other commits are kept
+    ((commit, runs),) = result["runs"].items()  # both runs kept under one commit
+    assert commit == bench.commit() and len(runs) == 2
+    run = runs[-1]
+    assert run["reps"] == 1 and run["batch"] == 2
+    assert {"environment", "sites", "totals"} <= set(run)
+    assert [(s["site"], s["function"]) for s in run["sites"]] == [
+        (name, "correlate2d")
+        for name in ("stem0", "stem1", "primary", "predict0", "predict1", "conv0", "conv1", "conv2", "conv3", "head")
+    ] + [("pool0", "max_pool_window"), ("pool1", "max_pool_window")]
+    for site in run["sites"]:
         for dt in ("float32", "float64"):
             assert set(site[dt]) == {"fwd_ms", "bwd_ms"}
+    for dt in ("float32", "float64"):
+        assert set(run["totals"][dt]) == {"capsnet.correlate2d", "cnn.correlate2d", "cnn.max_pool_window"}
 
 
 def test_bench_routing_smoke(load_script, tmp_path):

@@ -255,7 +255,7 @@ def test_route_node_matches_composed_graph(shape, adjoint, iters):
     _route_loss(caps_ref, coefficients_ref[-1], proj, ADJOINTS[adjoint]).backward()
 
     np.testing.assert_allclose(caps.data, caps_ref.data, rtol=1e-10, atol=1e-14)
-    assert len(trace.coefficients) == len(trace.entropy_mean) == iters
+    assert len(trace.coefficients) == iters
     for c, c_ref in zip(trace.coefficients, coefficients_ref):
         np.testing.assert_allclose(c.data, c_ref.data, rtol=1e-10, atol=1e-14)
     if S_ref.grad is None:  # the entropy of equal routing does not depend on S
@@ -304,7 +304,7 @@ def test_route_no_grad_forward_is_bitwise_and_keeps_no_state(dtype):
     np.testing.assert_array_equal(caps_ng.data, caps.data)
     for c_ng, c in zip(trace_ng.coefficients, trace.coefficients):
         np.testing.assert_array_equal(c_ng.data, c.data)
-    assert trace_ng.entropy_mean == trace.entropy_mean
+    assert [trace_ng.entropy_mean(t) for t in range(3)] == [trace.entropy_mean(t) for t in range(3)]
     for t in [caps_ng] + trace_ng.coefficients:
         assert t._backward is None and t._parents == ()
 
