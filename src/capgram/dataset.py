@@ -6,12 +6,18 @@ probe never sees training content. Images are stored in IDX binary form
 (count x H x W unsigned bytes), labels in IDX label form, and per-scene
 manifests as one JSON object per line. Regenerating with the same config
 and seed is byte-identical.
+
+Loading reads every image and label file. Manifests are only counted at
+load, to check each split's sizes agree; a split's manifest file is parsed
+the first time ``bundle.manifests[split]`` is read. A malformed file raises
+``ConfigError`` naming it.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -56,15 +62,25 @@ class DatasetConfig:
 
 @dataclass
 class DatasetBundle:
-    """In-memory dataset: uint8 images per split, labels, manifests, config."""
+    """In-memory dataset: uint8 images per split, labels, manifests, config.
+
+    A generated bundle holds its manifests in a dict. A loaded one holds a
+    ``ManifestFiles`` mapping: the manifests were counted at load, and each
+    split's file is parsed on first access and kept.
+    """
 
     config: DatasetConfig
     images: dict  # split -> uint8 [N, H, W]
     labels: dict  # split -> uint8 [N]
-    manifests: dict  # split -> list of manifest dicts
+    manifests: Mapping  # split -> list of manifest dicts
 
     def images_float(self, split, dtype=np.float64):
-        return (self.images[split].astype(dtype) / dtype(255.0))[:, None, :, :]
+        return to_float(self.images[split], dtype)
+
+
+def to_float(images, dtype=np.float64):
+    """uint8 [N, H, W] images to [N, 1, H, W] floats in [0, 1]."""
+    return (images.astype(dtype) / dtype(255.0))[:, None, :, :]
 
 
 def quantize(img):
@@ -89,16 +105,21 @@ def read_idx_images(path):
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16:
-            raise ValueError(f"{path}: truncated IDX header")
+            raise ConfigError(f"{path}: truncated IDX header")
         magic, count, h, w = struct.unpack(">IIII", header)
         if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"{path}: bad image magic 0x{magic:08x}")
+            raise ConfigError(f"{path}: bad image magic 0x{magic:08x}")
         data = fh.read()
     if len(data) != count * h * w:
-        raise ValueError(
+        raise ConfigError(
             f"{path}: expected {count * h * w} pixels, found {len(data)} bytes"
         )
-    return np.frombuffer(data, dtype=np.uint8).reshape(count, h, w).copy()
+    try:
+        # an empty file can declare 0 images of a size numpy cannot index
+        images = np.frombuffer(data, dtype=np.uint8).reshape(count, h, w)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: cannot hold {count} x {h} x {w} images: {exc}") from exc
+    return images.copy()
 
 
 def write_idx_labels(path, labels):
@@ -112,13 +133,13 @@ def read_idx_labels(path):
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) < 8:
-            raise ValueError(f"{path}: truncated IDX header")
+            raise ConfigError(f"{path}: truncated IDX header")
         magic, count = struct.unpack(">II", header)
         if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"{path}: bad label magic 0x{magic:08x}")
+            raise ConfigError(f"{path}: bad label magic 0x{magic:08x}")
         data = fh.read()
     if len(data) != count:
-        raise ValueError(f"{path}: expected {count} labels, found {len(data)} bytes")
+        raise ConfigError(f"{path}: expected {count} labels, found {len(data)} bytes")
     return np.frombuffer(data, dtype=np.uint8).copy()
 
 
@@ -146,9 +167,52 @@ def write_manifests(path, records):
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _manifest_lines(path):
+    """(line number, text) of each non-blank line of a manifest file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def read_manifests(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    records = []
+    for lineno, line in _manifest_lines(path):
+        try:
+            records.append(json.loads(line))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
+    return records
+
+
+def count_manifests(path):
+    """Number of records ``read_manifests`` would return, without parsing them."""
+    return sum(1 for _ in _manifest_lines(path))
+
+
+class ManifestFiles(Mapping):
+    """split -> manifest records, each split read from its file on first access."""
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self._read = {}
+
+    def path(self, split):
+        return self.root / f"{split}-manifests.jsonl"
+
+    def __getitem__(self, split):
+        if split not in SPLITS:
+            raise KeyError(split)
+        if split not in self._read:
+            self._read[split] = read_manifests(self.path(split))
+        return self._read[split]
+
+    def __iter__(self):
+        return iter(SPLITS)
+
+    def __len__(self):
+        return len(SPLITS)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +318,15 @@ def load_dataset(path):
     config = DatasetConfig(**recorded)
     images = {}
     labels = {}
-    manifests = {}
+    manifests = ManifestFiles(root)
     for split in SPLITS:
         images[split] = read_idx_images(root / f"{split}-images.idx")
         labels[split] = read_idx_labels(root / f"{split}-labels.idx")
-        manifests[split] = read_manifests(root / f"{split}-manifests.jsonl")
-        if not (len(images[split]) == len(labels[split]) == len(manifests[split])):
-            raise ValueError(
+        n_manifests = count_manifests(manifests.path(split))
+        if not (len(images[split]) == len(labels[split]) == n_manifests):
+            raise ConfigError(
                 f"{root}: {split} counts disagree "
                 f"({len(images[split])} images, {len(labels[split])} labels, "
-                f"{len(manifests[split])} manifests)"
+                f"{n_manifests} manifests)"
             )
     return DatasetBundle(config=config, images=images, labels=labels, manifests=manifests)

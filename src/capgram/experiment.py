@@ -340,7 +340,7 @@ def inspect(cfg, checkpoint, index, split="val"):
         raise IndexError(f"index {index} out of range for split {split!r}")
     model = build_model(cfg)
     md.load_state(model, md.load_checkpoint(checkpoint))
-    image = data.images_float(split, dtype=cfg.dtype)[index : index + 1]
+    image = ds.to_float(data.images[split][index : index + 1], cfg.dtype)
     with ad.no_grad():
         out = model.forward(Tensor(image))
     if not out.traces:

@@ -205,6 +205,38 @@ def test_malformed_dataset_config_json_exit_1(tmp_path, capsys, text, message):
     assert not (tmp_path / "r").exists()
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-7])
+
+
+def _bad_magic(path):
+    path.write_bytes(b"\x00\x00\x08\x02" + path.read_bytes()[4:])
+
+
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+@pytest.mark.parametrize(
+    "name, damage, message",
+    [
+        ("val-images.idx", _truncate, "val-images.idx: expected 8192 pixels, found 8185 bytes"),
+        ("train-labels.idx", _bad_magic, "train-labels.idx: bad label magic 0x00000802"),
+        ("probe-manifests.jsonl", _drop_last_line, "probe counts disagree (8 images, 8 labels, 7 manifests)"),
+    ],
+    ids=["truncated_idx", "bad_magic", "manifest_missing_line"],
+)
+def test_malformed_dataset_file_exit_1(tmp_path, capsys, name, damage, message):
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "c.cfg", data)
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    damage(data / name)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bad_subcommand_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

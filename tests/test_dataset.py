@@ -1,9 +1,12 @@
 import hashlib
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capgram import dataset as ds
 from capgram import grammar as gr
@@ -177,6 +180,116 @@ def test_idx_labels_round_trip_and_magic(tmp_path):
         ds.read_idx_labels(short)
 
 
+# Each reader: its header layout and magic.
+IDX_READERS = {
+    "images": (ds.read_idx_images, ds.write_idx_images, ">IIII", ds.IDX_IMAGE_MAGIC),
+    "labels": (ds.read_idx_labels, ds.write_idx_labels, ">II", ds.IDX_LABEL_MAGIC),
+}
+# Small extents make files the readers can accept; large ones declare more
+# than any file holds, and two of them multiply past numpy's index range.
+EXTENT = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+def _read_or_refuse(directory, kind, blob):
+    """Read ``blob`` as an IDX file: it yields the shape its header declares,
+    with the payload bytes, or a ConfigError naming the file."""
+    read, _, header, magic = IDX_READERS[kind]
+    path = directory / f"{kind}.idx"
+    path.write_bytes(blob)
+    try:
+        out = read(path)
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+        return
+    size = struct.calcsize(header)
+    declared = struct.unpack(header, blob[:size])
+    assert declared[0] == magic
+    assert out.dtype == np.uint8 and out.shape == declared[1:]
+    assert out.tobytes() == blob[size:]
+
+
+@given(kind=st.sampled_from(sorted(IDX_READERS)), blob=st.binary(max_size=64))
+@settings(max_examples=150, deadline=None)
+def test_idx_readers_fuzz_arbitrary_bytes(tmp_path_factory, kind, blob):
+    _read_or_refuse(tmp_path_factory.getbasetemp(), kind, blob)
+
+
+@given(
+    kind=st.sampled_from(sorted(IDX_READERS)),
+    magic=st.one_of(st.sampled_from([ds.IDX_IMAGE_MAGIC, ds.IDX_LABEL_MAGIC]), st.integers(0, 2**32 - 1)),
+    extents=st.tuples(EXTENT, EXTENT, EXTENT),
+    payload=st.binary(max_size=48),
+)
+@example(kind="images", magic=ds.IDX_IMAGE_MAGIC, extents=(0, 2**32 - 1, 2**32 - 1), payload=b"")
+@example(kind="images", magic=ds.IDX_IMAGE_MAGIC, extents=(2**32 - 1, 2**32 - 1, 2**32 - 1), payload=b"")
+@example(kind="labels", magic=ds.IDX_LABEL_MAGIC, extents=(2**32 - 1, 0, 0), payload=b"\x01")
+@settings(max_examples=150, deadline=None)
+def test_idx_readers_fuzz_declared_extents(tmp_path_factory, kind, magic, extents, payload):
+    header = IDX_READERS[kind][2]
+    fields = extents[: len(header) - 2]
+    _read_or_refuse(tmp_path_factory.getbasetemp(), kind, struct.pack(header, magic, *fields) + payload)
+
+
+@given(
+    kind=st.sampled_from(sorted(IDX_READERS)),
+    shape=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
+    keep=st.one_of(st.none(), st.integers(0, 60)),
+)
+@settings(max_examples=150, deadline=None)
+def test_idx_readers_fuzz_mutated_valid_files(tmp_path_factory, kind, shape, flips, keep):
+    _, write, _, _ = IDX_READERS[kind]
+    path = tmp_path_factory.getbasetemp() / "valid.idx"
+    values = np.arange(int(np.prod(shape)), dtype=np.uint8).reshape(shape)
+    write(path, values if kind == "images" else values.reshape(-1))
+    blob = bytearray(path.read_bytes())
+    for pos, byte in flips:
+        blob[pos % len(blob)] = byte
+    _read_or_refuse(tmp_path_factory.getbasetemp(), kind, bytes(blob[:keep]))
+
+
+def test_loaded_manifests_equal_generated_and_parse_once(tmp_path, monkeypatch):
+    generated = ds.generate_dataset(SMALL, out_dir=tmp_path)
+    parsed = []
+    read = ds.read_manifests
+    monkeypatch.setattr(ds, "read_manifests", lambda path: parsed.append(path) or read(path))
+    loaded = ds.load_dataset(tmp_path)
+    assert parsed == []
+    for split in ds.SPLITS:
+        assert loaded.manifests[split] == generated.manifests[split]
+        assert loaded.manifests[split] is loaded.manifests[split]
+    assert [p.name for p in parsed] == [f"{split}-manifests.jsonl" for split in ds.SPLITS]
+    assert dict(loaded.manifests) == generated.manifests
+
+
+def test_manifest_count_check_runs_at_load(tmp_path):
+    ds.generate_dataset(SMALL, out_dir=tmp_path)
+    path = tmp_path / "val-manifests.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    # blank lines are not records, for the count as for the parse
+    path.write_text("\n".join(lines) + "\n")
+    assert len(ds.load_dataset(tmp_path).manifests["val"]) == 20
+    path.write_text("".join(lines[1:]))
+    with pytest.raises(ConfigError, match=r"val counts disagree \(20 images, 20 labels, 19 manifests\)"):
+        ds.load_dataset(tmp_path)
+    path.write_bytes(b"\xff\n" + "".join(lines[1:]).encode())
+    with pytest.raises(ConfigError, match="val-manifests.jsonl: not valid UTF-8"):
+        ds.load_dataset(tmp_path)
+
+
+def test_malformed_manifest_line_fails_on_first_read(tmp_path):
+    ds.generate_dataset(SMALL, out_dir=tmp_path)
+    path = tmp_path / "probe-manifests.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4][:-9] + "\n"
+    path.write_text("\n" + "".join(lines))
+    bundle = ds.load_dataset(tmp_path)
+    assert len(bundle.manifests["val"]) == 20
+    # line 6 of the file: the blank first line counts, as an editor shows it
+    with pytest.raises(ConfigError, match="probe-manifests.jsonl: line 6 is not valid JSON"):
+        bundle.manifests["probe"]
+
+
 def test_load_missing_dir_errors(tmp_path):
     with pytest.raises(ValueError, match="missing config.json"):
         ds.load_dataset(tmp_path / "nope")
@@ -209,6 +322,11 @@ def test_images_float_range():
     assert 0.0 <= x.min() and x.max() <= 1.0
     x32 = bundle.images_float("val", dtype=np.float32)
     assert x32.dtype == np.float32
+    # converting a slice gives the bits of the same slice of the converted split
+    for dtype in (np.float32, np.float64):
+        np.testing.assert_array_equal(
+            ds.to_float(bundle.images["val"][3:4], dtype), bundle.images_float("val", dtype)[3:4]
+        )
 
 
 def test_quantize_round_trip_through_files():

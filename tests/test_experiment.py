@@ -261,3 +261,15 @@ def test_inspect_uniform_model_strengths(tiny_dataset, tmp_path):
             assert 'label="0.125000"' in line  # 1/8 exactly
         if "L1." in line and "->" in line:
             assert 'label="0.500000"' in line  # 1/2 exactly
+
+
+def test_experiment_calls_parse_no_manifest(trained_run, tiny_dataset, tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"parsed {path}")
+
+    monkeypatch.setattr(ds, "read_manifests", refuse)
+    cfg, summary = trained_run
+    ex.evaluate(cfg, summary["final_checkpoint"])
+    ex.probe(cfg, summary["final_checkpoint"])
+    ex.inspect(cfg, summary["final_checkpoint"], 0)
+    ex.train(_cfg(tiny_dataset, tmp_path, epochs=1), log=lambda m: None)
