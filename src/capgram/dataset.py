@@ -78,7 +78,7 @@ class DatasetBundle:
         return to_float(self.images[split], dtype)
 
 
-def to_float(images, dtype=np.float64):
+def to_float(images, dtype):
     """uint8 [N, H, W] images to [N, 1, H, W] floats in [0, 1]."""
     return (images.astype(dtype) / dtype(255.0))[:, None, :, :]
 
@@ -186,17 +186,12 @@ def read_manifests(path):
     return records
 
 
-def count_manifests(path):
-    """Number of records ``read_manifests`` would return, without parsing them."""
-    return sum(1 for _ in _manifest_lines(path))
-
-
 class ManifestFiles(Mapping):
     """split -> manifest records, each split read from its file on first access."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self._read = {}
+        self._parsed = {}
 
     def path(self, split):
         return self.root / f"{split}-manifests.jsonl"
@@ -204,9 +199,9 @@ class ManifestFiles(Mapping):
     def __getitem__(self, split):
         if split not in SPLITS:
             raise KeyError(split)
-        if split not in self._read:
-            self._read[split] = read_manifests(self.path(split))
-        return self._read[split]
+        if split not in self._parsed:
+            self._parsed[split] = read_manifests(self.path(split))
+        return self._parsed[split]
 
     def __iter__(self):
         return iter(SPLITS)
@@ -322,7 +317,8 @@ def load_dataset(path):
     for split in SPLITS:
         images[split] = read_idx_images(root / f"{split}-images.idx")
         labels[split] = read_idx_labels(root / f"{split}-labels.idx")
-        n_manifests = count_manifests(manifests.path(split))
+        # the records read_manifests would return, counted without parsing
+        n_manifests = sum(1 for _ in _manifest_lines(manifests.path(split)))
         if not (len(images[split]) == len(labels[split]) == n_manifests):
             raise ConfigError(
                 f"{root}: {split} counts disagree "

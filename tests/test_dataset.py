@@ -180,7 +180,7 @@ def test_idx_labels_round_trip_and_magic(tmp_path):
         ds.read_idx_labels(short)
 
 
-# Each reader: its header layout and magic.
+# Each IDX reader with its writer, header layout and magic.
 IDX_READERS = {
     "images": (ds.read_idx_images, ds.write_idx_images, ">IIII", ds.IDX_IMAGE_MAGIC),
     "labels": (ds.read_idx_labels, ds.write_idx_labels, ">II", ds.IDX_LABEL_MAGIC),
@@ -188,6 +188,11 @@ IDX_READERS = {
 # Small extents make files the readers can accept; large ones declare more
 # than any file holds, and two of them multiply past numpy's index range.
 EXTENT = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+@pytest.fixture(scope="module")
+def idx_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx")
 
 
 def _read_or_refuse(directory, kind, blob):
@@ -210,8 +215,8 @@ def _read_or_refuse(directory, kind, blob):
 
 @given(kind=st.sampled_from(sorted(IDX_READERS)), blob=st.binary(max_size=64))
 @settings(max_examples=150, deadline=None)
-def test_idx_readers_fuzz_arbitrary_bytes(tmp_path_factory, kind, blob):
-    _read_or_refuse(tmp_path_factory.getbasetemp(), kind, blob)
+def test_idx_readers_fuzz_arbitrary_bytes(idx_dir, kind, blob):
+    _read_or_refuse(idx_dir, kind, blob)
 
 
 @given(
@@ -224,10 +229,10 @@ def test_idx_readers_fuzz_arbitrary_bytes(tmp_path_factory, kind, blob):
 @example(kind="images", magic=ds.IDX_IMAGE_MAGIC, extents=(2**32 - 1, 2**32 - 1, 2**32 - 1), payload=b"")
 @example(kind="labels", magic=ds.IDX_LABEL_MAGIC, extents=(2**32 - 1, 0, 0), payload=b"\x01")
 @settings(max_examples=150, deadline=None)
-def test_idx_readers_fuzz_declared_extents(tmp_path_factory, kind, magic, extents, payload):
+def test_idx_readers_fuzz_declared_extents(idx_dir, kind, magic, extents, payload):
     header = IDX_READERS[kind][2]
     fields = extents[: len(header) - 2]
-    _read_or_refuse(tmp_path_factory.getbasetemp(), kind, struct.pack(header, magic, *fields) + payload)
+    _read_or_refuse(idx_dir, kind, struct.pack(header, magic, *fields) + payload)
 
 
 @given(
@@ -237,15 +242,15 @@ def test_idx_readers_fuzz_declared_extents(tmp_path_factory, kind, magic, extent
     keep=st.one_of(st.none(), st.integers(0, 60)),
 )
 @settings(max_examples=150, deadline=None)
-def test_idx_readers_fuzz_mutated_valid_files(tmp_path_factory, kind, shape, flips, keep):
+def test_idx_readers_fuzz_mutated_valid_files(idx_dir, kind, shape, flips, keep):
     _, write, _, _ = IDX_READERS[kind]
-    path = tmp_path_factory.getbasetemp() / "valid.idx"
+    path = idx_dir / "valid.idx"
     values = np.arange(int(np.prod(shape)), dtype=np.uint8).reshape(shape)
     write(path, values if kind == "images" else values.reshape(-1))
     blob = bytearray(path.read_bytes())
     for pos, byte in flips:
         blob[pos % len(blob)] = byte
-    _read_or_refuse(tmp_path_factory.getbasetemp(), kind, bytes(blob[:keep]))
+    _read_or_refuse(idx_dir, kind, bytes(blob[:keep]))
 
 
 def test_loaded_manifests_equal_generated_and_parse_once(tmp_path, monkeypatch):
