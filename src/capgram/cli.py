@@ -86,14 +86,20 @@ def _cmd_train(args, mapping):
     print(json.dumps(summary, sort_keys=True))
 
 
+def _write_outputs(cfg, files):
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return out
+
+
 def _cmd_eval(args, mapping):
     cfg = _run_config(args, mapping)
     report = ex.evaluate(cfg, args.checkpoint, split=args.split)
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"eval-{args.split}.json").write_text(text + "\n")
+    _write_outputs(cfg, {f"eval-{args.split}.json": text + "\n"})
 
 
 def _cmd_probe(args, mapping):
@@ -101,21 +107,16 @@ def _cmd_probe(args, mapping):
     report = ex.probe(cfg, args.checkpoint)
     text = json.dumps(asdict(report), sort_keys=True, indent=2)
     print(text)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "probe.json").write_text(text + "\n")
+    _write_outputs(cfg, {"probe.json": text + "\n"})
 
 
 def _cmd_inspect(args, mapping):
     cfg = _run_config(args, mapping)
     dot, table = ex.inspect(cfg, args.checkpoint, args.index, split=args.split)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dot_path = out / f"parse-{args.split}-{args.index}.dot"
-    dot_path.write_text(dot)
-    (out / f"entropy-{args.split}-{args.index}.txt").write_text(table)
+    dot_name = f"parse-{args.split}-{args.index}.dot"
+    out = _write_outputs(cfg, {dot_name: dot, f"entropy-{args.split}-{args.index}.txt": table})
     print(table, end="")
-    print(f"parse forest written to {dot_path}")
+    print(f"parse forest written to {out / dot_name}")
 
 
 COMMANDS = {

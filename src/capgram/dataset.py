@@ -49,6 +49,8 @@ class DatasetConfig:
     distractor_families: int = 8
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be non-negative, got {self.seed}")
         if self.n_train < 1 or self.n_val < 1:
             raise ConfigError(
                 f"dataset.n_train and dataset.n_val must be at least 1, "

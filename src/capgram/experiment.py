@@ -2,7 +2,7 @@
 
 A run is described by a RunConfig (parsed from a flat config file), trains
 deterministically given its seed, and leaves behind per-epoch metrics
-(JSON lines), a best and a final checkpoint, and JSON reports. Wall-clock
+(JSON lines), one final checkpoint, and JSON reports. Wall-clock
 time is recorded in its own metrics field and is the only value excluded
 from the byte-identical reproducibility contract.
 """
@@ -46,6 +46,10 @@ class RunConfig:
     precision: str = "narrow"  # narrow | wide
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be non-negative, got {self.seed}")
+        if not 0.0 < self.lr < float("inf"):
+            raise ConfigError(f"train.lr must be finite and positive, got {self.lr}")
         if self.model_kind not in ("capsnet", "cnn"):
             raise ConfigError(f"model.kind must be capsnet|cnn, got {self.model_kind!r}")
         if self.routing_mode not in ("dynamic", "equal"):
@@ -181,9 +185,7 @@ def train(cfg, log=print):
     labels = data.labels["train"].astype(np.int64)
     n = images.shape[0]
     metrics_path = out_dir / "metrics.jsonl"
-    best_path = out_dir / "best.ckpt"
     final_path = out_dir / "final.ckpt"
-    best_acc = -1.0
     t_start = time.time()
     with open(metrics_path, "w") as metrics_fh:
         for epoch in range(cfg.epochs):
@@ -238,9 +240,6 @@ def train(cfg, log=print):
             }
             metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
             metrics_fh.flush()
-            if val_acc > best_acc:
-                best_acc = val_acc
-                md.save_checkpoint(model, best_path)
             log(
                 f"epoch {epoch:3d}  loss {record['loss_total']:.4f}  "
                 f"margin {record['loss_margin']:.4f}  entropy {record['loss_entropy']:.3f}  "
@@ -249,11 +248,17 @@ def train(cfg, log=print):
     md.save_checkpoint(model, final_path)
     return {
         "metrics": str(metrics_path),
-        "best_checkpoint": str(best_path),
         "final_checkpoint": str(final_path),
-        "best_val_accuracy": best_acc,
         "wall_time_s": time.time() - t_start,
     }
+
+
+def _forward_batches(model, images):
+    """Model outputs over ``images``, one EVAL_BATCH slice at a time, building no graph."""
+    for start in range(0, images.shape[0], EVAL_BATCH):
+        with ad.no_grad():
+            out = model.forward(Tensor(images[start : start + EVAL_BATCH]))
+        yield out
 
 
 def evaluate_model(model, data, split, dtype):
@@ -263,25 +268,28 @@ def evaluate_model(model, data, split, dtype):
     n = images.shape[0]
     correct = 0
     entropy_sums = None
-    with ad.no_grad():
-        for start in range(0, n, EVAL_BATCH):
-            batch = Tensor(images[start : start + EVAL_BATCH])
-            out = model.forward(batch)
-            pred = out.class_activations.data.argmax(axis=1)
-            correct += int((pred == labels[start : start + len(pred)]).sum())
-            if out.traces:
-                if entropy_sums is None:
-                    entropy_sums = [0.0] * len(out.traces)
-                for l, trace in enumerate(out.traces):
-                    entropy_sums[l] += trace.entropy_mean() * len(pred)
+    for start, out in zip(range(0, n, EVAL_BATCH), _forward_batches(model, images)):
+        pred = out.class_activations.data.argmax(axis=1)
+        correct += int((pred == labels[start : start + len(pred)]).sum())
+        if out.traces:
+            if entropy_sums is None:
+                entropy_sums = [0.0] * len(out.traces)
+            for l, trace in enumerate(out.traces):
+                entropy_sums[l] += trace.entropy_mean() * len(pred)
     per_layer = [s / n for s in entropy_sums] if entropy_sums else []
     return correct / n, per_layer
 
 
-def evaluate(cfg, checkpoint, split="val"):
+def _restore(cfg, checkpoint):
+    """The run's dataset and its model holding ``checkpoint``'s weights."""
     data = ds.load_dataset(cfg.dataset_dir)
     model = build_model(cfg)
     md.load_state(model, md.load_checkpoint(checkpoint))
+    return data, model
+
+
+def evaluate(cfg, checkpoint, split="val"):
+    data, model = _restore(cfg, checkpoint)
     accuracy, per_layer = evaluate_model(model, data, split, cfg.dtype)
     return {
         "split": split,
@@ -292,30 +300,24 @@ def evaluate(cfg, checkpoint, split="val"):
     }
 
 
-def _mean_face_activation(model, images, dtype):
-    total = 0.0
-    n = images.shape[0]
-    with ad.no_grad():
-        for start in range(0, n, EVAL_BATCH):
-            out = model.forward(Tensor(images[start : start + EVAL_BATCH]))
-            total += float(out.class_activations.data[:, ds.FACE_LABEL].sum())
-    return total / n
-
-
-def probe(cfg, checkpoint, faces_split="val", swapped_split="probe"):
-    """Mean face-class activation on intact vs part-swapped faces."""
-    data = ds.load_dataset(cfg.dataset_dir)
-    model = build_model(cfg)
-    md.load_state(model, md.load_checkpoint(checkpoint))
-    face_mask = data.labels[faces_split] == ds.FACE_LABEL
+def probe(cfg, checkpoint):
+    """Mean face-class activation on intact val faces vs part-swapped probe faces."""
+    data, model = _restore(cfg, checkpoint)
+    face_mask = data.labels["val"] == ds.FACE_LABEL
     if not face_mask.any():
-        raise ValueError(f"split {faces_split!r} contains no faces")
-    if data.images[swapped_split].shape[0] == 0:
-        raise ValueError(f"split {swapped_split!r} is empty")
-    intact = data.images_float(faces_split, dtype=cfg.dtype)[face_mask]
-    swapped = data.images_float(swapped_split, dtype=cfg.dtype)
-    mean_intact = _mean_face_activation(model, intact, cfg.dtype)
-    mean_swapped = _mean_face_activation(model, swapped, cfg.dtype)
+        raise ConfigError(f"{cfg.dataset_dir}: split 'val' contains no faces to probe")
+    if data.images["probe"].shape[0] == 0:
+        raise ConfigError(f"{cfg.dataset_dir}: split 'probe' is empty (dataset.n_probe = 0)")
+    intact = data.images_float("val", dtype=cfg.dtype)[face_mask]
+    swapped = data.images_float("probe", dtype=cfg.dtype)
+
+    def mean_face(images):
+        total = 0.0
+        for out in _forward_batches(model, images):
+            total += float(out.class_activations.data[:, ds.FACE_LABEL].sum())
+        return total / images.shape[0]
+
+    mean_intact, mean_swapped = mean_face(intact), mean_face(swapped)
     return ProbeReport(
         mean_activation_intact=mean_intact,
         mean_activation_swapped=mean_swapped,
@@ -324,8 +326,8 @@ def probe(cfg, checkpoint, faces_split="val", swapped_split="probe"):
             "model_kind": cfg.model_kind,
             "routing_mode": cfg.routing_mode,
             "checkpoint": str(checkpoint),
-            "faces_split": faces_split,
-            "swapped_split": swapped_split,
+            "faces_split": "val",
+            "swapped_split": "probe",
             "activation": "face-class capsule norm (class index %d)" % ds.FACE_LABEL,
             "n_intact": int(intact.shape[0]),
             "n_swapped": int(swapped.shape[0]),
@@ -335,14 +337,12 @@ def probe(cfg, checkpoint, faces_split="val", swapped_split="probe"):
 
 def inspect(cfg, checkpoint, index, split="val"):
     """Parse forests (DOT) and a per-layer entropy table for one sample."""
-    data = ds.load_dataset(cfg.dataset_dir)
-    if not 0 <= index < data.images[split].shape[0]:
-        raise IndexError(f"index {index} out of range for split {split!r}")
-    model = build_model(cfg)
-    md.load_state(model, md.load_checkpoint(checkpoint))
+    data, model = _restore(cfg, checkpoint)
+    n = data.images[split].shape[0]
+    if not 0 <= index < n:
+        raise ConfigError(f"index {index} out of range for split {split!r} ({n} samples)")
     image = ds.to_float(data.images[split][index : index + 1], cfg.dtype)
-    with ad.no_grad():
-        out = model.forward(Tensor(image))
+    out = next(_forward_batches(model, image))
     if not out.traces:
         raise ValueError("model has no routing layers to inspect")
     dots = []

@@ -64,13 +64,20 @@ def test_generate_rerun_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_train_writes_metrics_and_checkpoints(workspace):
+def test_train_writes_metrics_and_checkpoints(workspace, tmp_path, capsys):
     root, cfg, data, run = workspace
     lines = (run / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["epoch"] == 0
-    assert (run / "final.ckpt").exists() and (run / "best.ckpt").exists()
+    # a fresh run directory: the workspace's also collects eval/probe/inspect outputs
+    fresh = tmp_path / "fresh"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(fresh)]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert set(summary) == {"metrics", "final_checkpoint", "wall_time_s"}
+    assert sorted(p.name for p in fresh.iterdir()) == ["final.ckpt", "metrics.jsonl"]
+    assert (fresh / "final.ckpt").read_bytes() == (run / "final.ckpt").read_bytes()
 
 
 def test_eval_subcommand(workspace, capsys):
@@ -235,6 +242,49 @@ def test_malformed_dataset_file_exit_1(tmp_path, capsys, name, damage, message):
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "command, seed",
+    [("generate", "-1"), ("train", "-3")],
+)
+def test_negative_seed_exit_1(workspace, tmp_path, capsys, command, seed):
+    cfg = workspace[1]
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), "--seed", seed]) == 1
+    assert f"run.seed must be non-negative, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_probe_without_probe_split_exit_1(workspace, tmp_path, capsys):
+    run = workspace[3]
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "c.cfg", data, **{"dataset.n_probe": 0})
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = cli.main(
+        ["probe", "--config", str(cfg), "--out", str(out), "--checkpoint", str(run / "final.ckpt")]
+    )
+    assert code == 1
+    assert "split 'probe' is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", ["99", "-1", "8"])
+def test_inspect_index_out_of_range_exit_1(workspace, tmp_path, capsys, index):
+    root, cfg, data, run = workspace
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = cli.main(
+        ["inspect", "--config", str(cfg), "--out", str(out),
+         "--checkpoint", str(run / "final.ckpt"), "--index", index, "--split", "val"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"index {index} out of range for split 'val' (8 samples)" in err
+    assert not out.exists()
 
 
 def test_bad_subcommand_exit_1(capsys):

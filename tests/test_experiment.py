@@ -66,6 +66,19 @@ def test_run_config_requires_dataset_dir():
         ex.run_config_from_mapping({"run.out": "o"})
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_run_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(ConfigError, match="train.lr must be finite and positive"):
+        ex.run_config_from_mapping({"dataset.dir": "d", "run.out": "o", "train.lr": lr})
+
+
+def test_negative_seed_names_the_key():
+    with pytest.raises(ConfigError, match="run.seed must be non-negative, got -1"):
+        ex.run_config_from_mapping({"dataset.dir": "d", "run.out": "o"}, seed=-1)
+    with pytest.raises(ConfigError, match="run.seed must be non-negative, got -2"):
+        ex.dataset_config_from_mapping({"run.seed": "-2"})
+
+
 def test_variant_configs_cover_matrix():
     for name in ("unregcaps", "0.4caps", "0.8caps", "schcaps", "equalcaps", "cnn"):
         cfg = ex.variant_config(name, "d", "o")
@@ -214,18 +227,27 @@ def test_memorization_reaches_perfect_accuracy(tiny_dataset, tmp_path):
     assert report["accuracy"] == 1.0
 
 
-def test_probe_identical_splits_zero_drop(trained_run):
+def test_probe_means_match_one_sample_forwards(trained_run):
     cfg, summary = trained_run
-    report = ex.probe(cfg, summary["final_checkpoint"], faces_split="val", swapped_split="val")
-    # swapped split here is the full val split; the intact side filters to
-    # faces, so compare via the face-only filtering both ways instead
+    report = ex.probe(cfg, summary["final_checkpoint"])
     data = ds.load_dataset(cfg.dataset_dir)
     model = ex.build_model(cfg)
     md.load_state(model, md.load_checkpoint(summary["final_checkpoint"]))
+
+    def mean_face(images):
+        total = 0.0
+        with ad.no_grad():
+            for i in range(images.shape[0]):  # one sample at a time
+                out = model.forward(Tensor(images[i : i + 1]))
+                total += float(out.class_activations.data[0, ds.FACE_LABEL])
+        return total / images.shape[0]
+
     faces = data.images_float("val", dtype=cfg.dtype)[data.labels["val"] == ds.FACE_LABEL]
-    same = ex._mean_face_activation(model, faces, cfg.dtype)
-    assert same - same == 0.0
-    assert 0.0 <= report.mean_activation_intact < 1.0
+    swapped = data.images_float("probe", dtype=cfg.dtype)
+    assert report.mean_activation_intact == pytest.approx(mean_face(faces), rel=1e-5)
+    assert report.mean_activation_swapped == pytest.approx(mean_face(swapped), rel=1e-5)
+    assert report.metadata["faces_split"] == "val"
+    assert report.metadata["swapped_split"] == "probe"
 
 
 def test_probe_report_fields(trained_run):
@@ -246,7 +268,7 @@ def test_inspect_outputs_dot_and_table(trained_run):
     assert dot.count("digraph") == 2
     assert "->" in dot
     assert "entropy(nats)" in table
-    with pytest.raises(IndexError, match="out of range"):
+    with pytest.raises(ConfigError, match="out of range"):
         ex.inspect(cfg, summary["final_checkpoint"], 99, split="val")
 
 
