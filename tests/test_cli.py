@@ -257,10 +257,15 @@ def test_negative_seed_exit_1(workspace, tmp_path, capsys, command, seed):
     assert not out.exists()
 
 
-def test_probe_without_probe_split_exit_1(workspace, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "n_val, message",
+    [(8, "split 'probe' is empty"), (1, "split 'val' contains no faces")],
+    ids=["no_probe_split", "no_val_faces"],
+)
+def test_probe_without_probe_data_exit_1(workspace, tmp_path, capsys, n_val, message):
     run = workspace[3]
     data = tmp_path / "data"
-    cfg = _write_config(tmp_path / "c.cfg", data, **{"dataset.n_probe": 0})
+    cfg = _write_config(tmp_path / "c.cfg", data, **{"dataset.n_val": n_val, "dataset.n_probe": 0})
     assert cli.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
     out = tmp_path / "r"
     capsys.readouterr()
@@ -268,7 +273,7 @@ def test_probe_without_probe_split_exit_1(workspace, tmp_path, capsys):
         ["probe", "--config", str(cfg), "--out", str(out), "--checkpoint", str(run / "final.ckpt")]
     )
     assert code == 1
-    assert "split 'probe' is empty" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
