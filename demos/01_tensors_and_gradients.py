@@ -19,7 +19,7 @@ print("grad (=2x) :", x.grad)
 
 print("\n== gradients through a convolution ==")
 rng = np.random.default_rng(0)
-image = Tensor(rng.normal(size=(1, 6, 6)), requires_grad=True)
+image = Tensor(rng.normal(size=(1, 1, 6, 6)), requires_grad=True)
 kernel = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
 feat = ad.relu(ad.correlate2d(image, kernel))
 loss = ad.reduce_mean(ad.mul(feat, feat))

@@ -3,7 +3,7 @@
 Shifting the input then applying a layer matches applying the layer then
 shifting the output (on the interior the padding never touched). Strided
 layers are equivariant to shifts that are multiples of their stride.
-Layers take and return plain tensors [channels, H, W] (or [N, channels, H, W]).
+Layers take and return plain tensors [N, channels, H, W].
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from capgram import equivariant as eq
 from capgram.autodiff import Tensor
 
 rng = np.random.default_rng(3)
-x = Tensor(rng.normal(size=(2, 12, 12)))
+x = Tensor(rng.normal(size=(1, 2, 12, 12)))
 
 conv = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), stride=1, activation="relu")
 conv_padded = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), stride=1, padding=1)

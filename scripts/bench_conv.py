@@ -36,7 +36,6 @@ SITES = {  # (model, function): site names in call order
     ("cnn", "correlate2d"): ("conv0", "conv1", "conv2", "conv3", "head"),
     ("cnn", "max_pool_window"): ("pool0", "pool1"),
 }
-MODELS = ("capsnet", "cnn")
 DTYPES = ("float32", "float64")
 BATCH = 32
 REPS = 15
@@ -93,8 +92,8 @@ def find_sites(np, ad, models):
         return max_pool_window(a, window, stride)
 
     sites = []
-    for model in MODELS:
-        net = getattr(models, f"build_{model}")(seed=0)
+    nets = {"capsnet": models.CapsNet(models.CapsNetConfig(), 0), "cnn": models.CNN(models.CNNConfig(), 0)}
+    for model, net in nets.items():
         size = net.cfg.image_size
         calls.clear()
         ad.correlate2d, ad.max_pool_window = conv_spy, pool_spy

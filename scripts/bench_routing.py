@@ -44,7 +44,7 @@ def find_layers(np, ad, rt, models):
         calls.append((tuple(S.shape), int(iters)))
         return original(S, iters)
 
-    net = models.build_capsnet(seed=0)
+    net = models.CapsNet(models.CapsNetConfig(), 0)
     size = net.cfg.image_size
     rt.dynamic_route = spy
     try:

@@ -469,9 +469,9 @@ def _col2im(gcols, shape, kH, kW, stride, Ho, Wo):
 
 
 def correlate2d(a, kernels, stride=1, padding=0):
-    """Cross-correlation of a (optionally batched) multi-channel image.
+    """Cross-correlation of a batch of multi-channel images.
 
-    ``a`` is [C, H, W] or [N, C, H, W]; ``kernels`` is [O, C, kH, kW].
+    ``a`` is [N, C, H, W]; ``kernels`` is [O, C, kH, kW].
     Zero padding; out-of-range input reads as 0.  Differentiable with
     respect to both arguments.
     """
@@ -487,13 +487,9 @@ def correlate2d(a, kernels, stride=1, padding=0):
         raise ValueError(
             f"kernels must be [out, in, kH, kW], got shape {kernels.data.shape}"
         )
-    batched = a.data.ndim == 4
-    if not batched and a.data.ndim != 3:
-        raise ValueError(
-            f"input must be [C, H, W] or [N, C, H, W], got shape {a.data.shape}"
-        )
-    x = a.data if batched else a.data[None]
-    N, C, H, W = x.shape
+    if a.data.ndim != 4:
+        raise ValueError(f"input must be [N, C, H, W], got shape {a.data.shape}")
+    N, C, H, W = a.data.shape
     O, Ck, kH, kW = kernels.data.shape
     if Ck != C:
         raise ValueError(
@@ -509,9 +505,9 @@ def correlate2d(a, kernels, stride=1, padding=0):
     Ho = (Hp - kH) // stride + 1
     Wo = (Wp - kW) // stride + 1
     if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.pad(a.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
-        xp = x
+        xp = a.data
     w = kernels.data
     K, P = C * kH * kW, Ho * Wo
     w2 = w.reshape(O, K)
@@ -529,7 +525,7 @@ def correlate2d(a, kernels, stride=1, padding=0):
     out = out.reshape(N, O, Ho, Wo)
 
     def backward(g):
-        g3 = (g if batched else g[None]).reshape(N, O, P)
+        g3 = g.reshape(N, O, P)
         cols = _im2col(xp, kH, kW, stride, Ho, Wo)
         # Per-sample GEMMs read the patches as they are but leave N partial
         # [O, K] kernel gradients to sum; one GEMM over the batch first
@@ -542,9 +538,9 @@ def correlate2d(a, kernels, stride=1, padding=0):
         gcols = g3.reshape(N, O) @ w2 if P == 1 else np.matmul(w2.T, g3)
         gxp = _col2im(gcols, (N, C, Hp, Wp), kH, kW, stride, Ho, Wo)
         gx = gxp[:, :, padding : padding + H, padding : padding + W] if padding else gxp
-        return (gx if batched else gx[0], gw.reshape(w.shape))
+        return (gx, gw.reshape(w.shape))
 
-    return _node(out if batched else out[0], (a, kernels), backward)
+    return _node(out, (a, kernels), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,11 @@
 """Convolutional layers on the 2-D translation group.
 
-Layers take and return plain tensors [..., channels, H, W]: a function
-sampled on translations of an H x W grid, one scalar per channel.
+Layers take and return plain tensors [N, channels, H, W]: per sample, a
+function sampled on translations of an H x W grid, one scalar per channel.
 Correlation layers and two-step max-pooling (window maximum over a coset,
 then subsampling onto the stride subgroup) come with a test surface that
 measures translation equivariance on the interior region unaffected by
 zero padding.
-
-The definitions are group-general; only the translation instance is built.
-A p4 (quarter-rotation) extension would add a group axis to the tensors and
-rotate kernels in the correlation — the interfaces here leave that slot
-open but do not implement it.
 """
 
 from __future__ import annotations

@@ -157,9 +157,8 @@ def variant_config(name, dataset_dir, out_dir, seed=7, **overrides):
 
 def build_model(cfg):
     if cfg.model_kind == "cnn":
-        return md.build_cnn(seed=cfg.seed, dtype=cfg.dtype)
-    caps_cfg = md.CapsNetConfig(routing_mode=cfg.routing_mode)
-    return md.build_capsnet(caps_cfg, seed=cfg.seed, dtype=cfg.dtype)
+        return md.CNN(md.CNNConfig(), cfg.seed, cfg.dtype)
+    return md.CapsNet(md.CapsNetConfig(routing_mode=cfg.routing_mode), cfg.seed, cfg.dtype)
 
 
 def _epoch_rng(seed, epoch):
@@ -337,18 +336,20 @@ def probe(cfg, checkpoint):
 
 def inspect(cfg, checkpoint, index, split="val"):
     """Parse forests (DOT) and a per-layer entropy table for one sample."""
+    if cfg.model_kind != "capsnet":
+        raise ConfigError(
+            f"inspect needs routing layers, which model.kind {cfg.model_kind!r} does not have"
+        )
     data, model = _restore(cfg, checkpoint)
     n = data.images[split].shape[0]
     if not 0 <= index < n:
         raise ConfigError(f"index {index} out of range for split {split!r} ({n} samples)")
     image = ds.to_float(data.images[split][index : index + 1], cfg.dtype)
     out = next(_forward_batches(model, image))
-    if not out.traces:
-        raise ValueError("model has no routing layers to inspect")
     dots = []
     rows = ["layer  iters  n_out  entropy(nats)  uniform(ln n_out)  per-iteration"]
     for l, trace in enumerate(out.traces):
-        forest = rt.extract_parse(trace, sample=0)
+        forest = rt.extract_parse(trace, 0)
         dots.append(
             rt.parse_to_dot(
                 forest,

@@ -20,42 +20,33 @@ MARGIN_LAMBDA = 0.5
 
 
 def margin_loss(activations, target):
-    """Two-sided hinge-squared loss on class activations.
+    """Two-sided hinge-squared loss on class activations, averaged over samples.
 
-    activations is [K] or [B, K] with values in [0, 1); target is a class
-    index or an index array. Per sample:
+    activations is a [B, K] Tensor with values in [0, 1); target is a class
+    index array of length B (a single index when B is 1). Per sample:
       sum_k [k == t] * max(0, m+ - a_k)^2 + lambda * [k != t] * max(0, a_k - m-)^2
     with m+ = MARGIN_POS, m- = MARGIN_NEG and lambda = MARGIN_LAMBDA.
-    Batched input returns the mean over samples. Hinge corners take
-    subgradient 0.
+    Hinge corners take subgradient 0.
     """
-    if not isinstance(activations, Tensor):
-        activations = Tensor(np.asarray(activations))
-    batched = activations.ndim == 2
-    if not batched and activations.ndim != 1:
-        raise ValueError(f"activations must be [K] or [B, K], got {activations.shape}")
-    K = activations.shape[-1]
+    if activations.ndim != 2:
+        raise ValueError(f"activations must be [B, K], got {activations.shape}")
+    B, K = activations.shape
     if K < 2:
         raise ValueError(f"need at least two classes, got {K}")
     t = np.atleast_1d(np.asarray(target, dtype=np.int64))
     if np.any(t < 0) or np.any(t >= K):
         raise ValueError(f"target {target} out of range for {K} classes")
-    B = activations.shape[0] if batched else 1
     if t.size != B:
         raise ValueError(f"{t.size} targets for batch of {B}")
     onehot = np.zeros((B, K), dtype=activations.dtype)
     onehot[np.arange(B), t] = 1.0
-    if not batched:
-        onehot = onehot[0]
     pos = ad.relu(ad.add_scalar(ad.neg(activations), MARGIN_POS))
     neg = ad.relu(ad.add_scalar(activations, -MARGIN_NEG))
     per = ad.add(
         ad.mul(Tensor(onehot), ad.mul(pos, pos)),
         ad.scale(ad.mul(Tensor(1.0 - onehot), ad.mul(neg, neg)), MARGIN_LAMBDA),
     )
-    if batched:
-        return ad.reduce_mean(ad.reduce_sum(per, axis=1))
-    return ad.reduce_sum(per)
+    return ad.reduce_mean(ad.reduce_sum(per, axis=1))
 
 
 def entropy_loss(traces):

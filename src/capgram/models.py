@@ -12,6 +12,7 @@ through a full-extent correlation head and a sigmoid.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -20,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import routing as rt
 from .autodiff import Tensor
+from .config import ConfigError
 from .equivariant import ConvLayer, MaxPoolLayer
 
 CHECKPOINT_MAGIC = b"CGL1"
@@ -187,7 +189,7 @@ class CapsNet(_Model):
         caps = rt.squash(caps, axis=-3)
         traces = []
         for n, spec in enumerate(cfg.routed):
-            S = rt.predict(caps, self.params[f"routed.{n}.filters"], spec.stride, 0)
+            S = rt.predict(caps, self.params[f"routed.{n}.filters"], spec.stride)
             if cfg.routing_mode == "equal":
                 caps, trace = rt.equal_route_traced(S)
             else:
@@ -229,14 +231,6 @@ def _check_batch(batch, cfg, dtype):
     return x
 
 
-def build_capsnet(cfg=None, seed=0, dtype=np.float64):
-    return CapsNet(cfg or CapsNetConfig(), seed, dtype)
-
-
-def build_cnn(cfg=None, seed=0, dtype=np.float64):
-    return CNN(cfg or CNNConfig(), seed, dtype)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints: magic "CGL1", then per parameter
 #   u64 name length | name utf-8 | u64 rank | u64 extents... | f64 values
@@ -257,29 +251,43 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint into an ordered name -> float64 array mapping."""
+    """Read a checkpoint into an ordered name -> float64 array mapping.
+
+    A file that does not follow the format raises ConfigError naming it.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+        raise ConfigError(f"{path}: bad checkpoint magic {blob[:4]!r}")
     pos = 4
     out = {}
 
     def take(n):
         nonlocal pos
-        if pos + n > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
+        if n > len(blob) - pos:
+            raise ConfigError(f"{path}: truncated checkpoint at byte {pos}")
         chunk = blob[pos : pos + n]
         pos += n
         return chunk
 
+    def u64():
+        return struct.unpack("<Q", take(8))[0]
+
     while pos < len(blob):
-        (name_len,) = struct.unpack("<Q", take(8))
-        name = take(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<Q", take(8))
-        shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
+        raw = take(u64())
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: parameter name {raw!r} is not UTF-8") from exc
+        if name in out:
+            raise ConfigError(f"{path}: parameter {name!r} appears twice")
+        rank = u64()
+        shape = tuple(u64() for _ in range(rank))
+        data = take(8 * math.prod(shape))  # Python ints: (2**32, 2**32) cannot wrap to 0
+        try:
+            values = np.frombuffer(data, dtype="<f8").reshape(shape)
+        except ValueError as exc:  # a shape numpy cannot hold, such as (0, 2**63)
+            raise ConfigError(f"{path}: parameter {name!r} cannot be read: {exc}") from exc
         out[name] = values.copy()
     return out
 

@@ -1,10 +1,10 @@
 """Dynamic routing-by-agreement over convolutional capsule predictions.
 
-Capsules are plain tensors [..., types, dim, H, W]: one vector per capsule
-type and position. Deeper capsules are built by letting every shallow type
-predict every deep type through a shared convolutional bank (predictions
-S [..., n_in, n_out, dim, H, W]), then iterating: softmax the routing
-logits over deep types, combine predictions with the resulting
+Capsules are plain tensors [B, types, dim, H, W]: one vector per sample,
+capsule type and position. Deeper capsules are built by letting every
+shallow type predict every deep type through a shared convolutional bank
+(predictions S [B, n_in, n_out, dim, H, W]), then iterating: softmax the
+routing logits over deep types, combine predictions with the resulting
 coefficients, squash, and add the prediction/output agreement back onto
 the logits. Equal routing is one iteration of the same loop: softmax of
 the zero starting logits, exactly 1/n_out.
@@ -43,7 +43,7 @@ SQUASH_NORM_EPSILON = 1e-8
 class RoutingTrace:
     """Routing state, one list entry per iteration.
 
-    coefficients[t] has shape [..., n_in, n_out, H, W]; only the last is a
+    coefficients[t] has shape [B, n_in, n_out, H, W]; only the last is a
     graph node, earlier rounds' are constants.
     """
 
@@ -85,53 +85,47 @@ def squash(v, axis=-1):
     return ad.mul(v, factor)
 
 
-def predict(caps, filters, stride=1, padding=0):
+def predict(caps, filters, stride):
     """Convolutional predictions of every deep type from every shallow type.
 
-    ``caps`` is [..., n_in, dim_in, H, W]; ``filters`` is one bank per deep
-    type, [n_out, dim_out, dim_in, kH, kW]. The same bank j is applied to
-    each shallow type independently (weights are shared across shallow
-    types). Returns predictions [..., n_in, n_out, dim_out, Ho, Wo].
+    ``caps`` is a Tensor [B, n_in, dim_in, H, W]; ``filters`` is a Tensor
+    holding one bank per deep type, [n_out, dim_out, dim_in, kH, kW]. The
+    same bank j is applied to each shallow type independently (weights are
+    shared across shallow types). Returns predictions
+    [B, n_in, n_out, dim_out, Ho, Wo].
     """
-    if not isinstance(caps, Tensor):
-        caps = Tensor(caps)
-    if caps.ndim < 4:
-        raise ValueError(f"capsule input needs [..., I, D, H, W], got {caps.shape}")
-    if not isinstance(filters, Tensor):
-        filters = Tensor(np.asarray(filters))
+    if caps.ndim != 5:
+        raise ValueError(f"capsule input needs [B, I, D, H, W], got {caps.shape}")
     if filters.ndim != 5:
         raise ValueError(
             f"filters must be [n_out, dim_out, dim_in, kH, kW], got {filters.shape}"
         )
-    lead = caps.shape[:-4]
-    I, D, H, W = caps.shape[-4:]
+    B, I, D, H, W = caps.shape
     J, Do, Di, kH, kW = filters.shape
     if Di != D:
         raise ValueError(
             f"capsule dim {D} does not match filter input dim {Di} "
             f"(filters {filters.shape})"
         )
-    batch = int(np.prod(lead)) if lead else 1
-    x = ad.reshape(caps, (batch * I, D, H, W))
+    x = ad.reshape(caps, (B * I, D, H, W))
     k = ad.reshape(filters, (J * Do, D, kH, kW))
-    y = ad.correlate2d(x, k, stride, padding)
+    y = ad.correlate2d(x, k, stride)
     Ho, Wo = y.shape[-2:]
-    return ad.reshape(y, tuple(lead) + (I, J, Do, Ho, Wo))
+    return ad.reshape(y, (B, I, J, Do, Ho, Wo))
 
 
 def _route(S, iters):
-    """Route predictions S [..., n_in, n_out, dim, H, W] for ``iters`` rounds
+    """Route predictions S [B, n_in, n_out, dim, H, W] for ``iters`` rounds
     as one graph node (see the module docstring); returns the deep capsules
-    [..., n_out, dim, H, W] and the trace."""
-    if S.ndim < 5:
-        raise ValueError(f"predictions need [..., in, out, dim, H, W], got {S.shape}")
-    lead = S.shape[:-5]
-    I, J, D, H, W = S.shape[-5:]
-    B, P = int(np.prod(lead)), H * W
+    [B, n_out, dim, H, W] and the trace."""
+    if S.ndim != 6:
+        raise ValueError(f"predictions need [B, in, out, dim, H, W], got {S.shape}")
+    B, I, J, D, H, W = S.shape
+    P = H * W
     # one [n_in, dim] block per (sample, deep type, position), so the
     # weighted sum over shallow types and the agreement are batched matmuls
     s = np.ascontiguousarray(S.data.reshape(B, I, J, D, P).transpose(0, 2, 4, 1, 3))
-    coeff_shape = lead + (I, J, H, W)
+    coeff_shape = (B, I, J, H, W)
     n_caps, n_coeff = B * J * D * P, B * I * J * P
     flat = np.empty(n_caps + n_coeff, dtype=S.dtype)
 
@@ -198,7 +192,7 @@ def _route(S, iters):
         return ad._node(flat[lo:hi].reshape(shape), (node,), backward)
 
     trace.coefficients.append(view(n_caps, flat.size, coeff_shape))
-    return view(0, n_caps, lead + (J, D, H, W)), trace
+    return view(0, n_caps, (B, J, D, H, W)), trace
 
 
 def dynamic_route(S, iters):
@@ -227,20 +221,13 @@ def routing_entropy(trace):
     return ad.reduce_mean(h)
 
 
-def extract_parse(trace, sample=None):
-    """Argmax parent per (shallow type, position) from the final coefficients.
+def extract_parse(trace, sample):
+    """Argmax parent per (shallow type, position) of one sample's final
+    coefficients.
 
-    Ties break toward the lowest deep-type index. For batched traces pass
-    ``sample`` to select one element.
+    Ties break toward the lowest deep-type index.
     """
-    c = trace.coefficients[-1].data
-    if c.ndim > 4:
-        flat = c.reshape((-1,) + c.shape[-4:])
-        if sample is None:
-            if flat.shape[0] != 1:
-                raise ValueError("batched trace: pass sample= to extract one parse")
-            sample = 0
-        c = flat[sample]
+    c = trace.coefficients[-1].data[sample]
     parent = c.argmax(axis=-3)
     strength = np.take_along_axis(c, parent[:, None], axis=-3)[:, 0]
     return ParseForest(parent=parent, strength=strength, n_out=c.shape[-3])

@@ -58,17 +58,17 @@ def naive_max_pool(x, window, stride):
 
 def test_correlate_zero_input_gives_zero():
     rng = np.random.default_rng(0)
-    x = Tensor(np.zeros((2, 5, 5)))
+    x = Tensor(np.zeros((1, 2, 5, 5)))
     w = Tensor(rng.normal(size=(3, 2, 3, 3)))
     out = ad.correlate2d(x, w)
     assert np.all(out.data == 0.0)
 
 
 def test_correlate_ones_sums_kernel_support():
-    x = Tensor(np.ones((1, 3, 3)))
+    x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
     out = ad.correlate2d(x, w)
-    assert out.data.shape == (1, 1, 1)
+    assert out.data.shape == (1, 1, 1, 1)
     assert out.item() == 9.0
 
 
@@ -76,7 +76,7 @@ def test_correlate_ramp_vs_oracle():
     x = np.arange(16, dtype=float).reshape(1, 4, 4)
     w = np.zeros((1, 1, 2, 2))
     w[0, 0, 0, 0] = 1.0
-    got = ad.correlate2d(Tensor(x), Tensor(w)).data
+    got = ad.correlate2d(Tensor(x[None]), Tensor(w)).data[0]
     want = naive_correlate2d(x, w)
     np.testing.assert_array_equal(got, want)
 
@@ -91,7 +91,7 @@ def test_correlate_matches_oracle_exactly(stride, padding):
         kW = rng.integers(1, W + 2 * padding + 1)
         x = rng.normal(size=(C, H, W))
         w = rng.normal(size=(O, C, kH, kW))
-        got = ad.correlate2d(Tensor(x), Tensor(w), stride, padding).data
+        got = ad.correlate2d(Tensor(x[None]), Tensor(w), stride, padding).data[0]
         want = naive_correlate2d(x, w, stride, padding)
         np.testing.assert_array_equal(got, want)
 
@@ -115,18 +115,20 @@ def test_correlate_batched_equals_per_sample():
     w = rng.normal(size=(4, 2, 3, 3))
     got = ad.correlate2d(Tensor(x), Tensor(w), 2, 1).data
     for n in range(3):
-        single = ad.correlate2d(Tensor(x[n]), Tensor(w), 2, 1).data
+        single = ad.correlate2d(Tensor(x[n][None]), Tensor(w), 2, 1).data[0]
         np.testing.assert_array_equal(got[n], single)
 
 
 def test_correlate_shape_errors():
-    x = Tensor(np.zeros((2, 4, 4)))
+    x = Tensor(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ValueError, match="channel mismatch"):
         ad.correlate2d(x, Tensor(np.zeros((1, 3, 2, 2))))
     with pytest.raises(ValueError, match="exceeds padded input"):
         ad.correlate2d(x, Tensor(np.zeros((1, 2, 5, 5))))
     with pytest.raises(ValueError, match="kernels must be"):
         ad.correlate2d(x, Tensor(np.zeros((2, 2, 2))))
+    with pytest.raises(ValueError, match=r"input must be \[N, C, H, W\]"):
+        ad.correlate2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +383,7 @@ def test_grad_check_quadratic_is_tight():
     A = np.random.default_rng(1).normal(size=(4, 4))
 
     def f(x):
-        y = ad.correlate2d(ad.reshape(x, (1, 4, 1)), Tensor(A.reshape(4, 1, 4, 1)))
+        y = ad.correlate2d(ad.reshape(x, (1, 1, 4, 1)), Tensor(A.reshape(4, 1, 4, 1)))
         return ad.reduce_sum(ad.mul(ad.reshape(x, (4,)), ad.reshape(y, (4,))))
 
     err = ad.grad_check(f, Tensor(np.array([0.3, -0.2, 0.5, 0.1])), step=1e-5)
@@ -435,7 +437,7 @@ OPS_FOR_GRADCHECK = [
     ("softmax", lambda x: ad.softmax(x, axis=1)),
     ("l2_norm", lambda x: ad.l2_norm(x, axis=1, epsilon=1e-8)),
     ("squash_like", lambda x: ad.div(x, ad.add_scalar(ad.l2_norm(x, axis=1, keepdims=True), 1.0))),
-    ("correlate", lambda x: ad.correlate2d(ad.reshape(x, (2, 4, 3)), Tensor(_CORR_W))),
+    ("correlate", lambda x: ad.correlate2d(ad.reshape(x, (1, 2, 4, 3)), Tensor(_CORR_W))),
     ("max_pool", lambda x: ad.max_pool_window(ad.reshape(x, (2, 4, 3)), 2, 1)),
 ]
 
@@ -459,9 +461,9 @@ def test_every_primitive_passes_grad_check(name, op):
 
 def test_correlate_gradients_both_arguments():
     rng = np.random.default_rng(21)
-    x0 = rng.normal(size=(2, 5, 5))
+    x0 = rng.normal(size=(1, 2, 5, 5))
     w0 = rng.normal(size=(3, 2, 3, 3))
-    proj = rng.normal(size=(3, 3, 3))
+    proj = rng.normal(size=(1, 3, 3, 3))
 
     def f_input(x):
         return ad.reduce_sum(ad.mul(ad.correlate2d(x, Tensor(w0), 2, 1), Tensor(proj)))
@@ -514,7 +516,7 @@ def loop_correlate2d_with_grads(x, w, g, stride, padding):
 
 # (input shape, kernel shape, stride, padding); each above GEMM_WORK_THRESHOLD
 GEMM_CASES = {
-    "stride2_pad1_unbatched": ((8, 60, 60), (16, 8, 3, 3), 2, 1),
+    "stride2_pad1": ((1, 8, 60, 60), (16, 8, 3, 3), 2, 1),
     "one_by_one_output": ((128, 8, 6, 6), (32, 8, 6, 6), 1, 0),
     "overlapping_windows_small_output": ((32, 4, 7, 7), (32, 4, 6, 6), 1, 1),
 }
@@ -528,10 +530,8 @@ def _gemm_case(name, dtype, seed=0):
     H, W = x_shape[-2:]
     Ho = (H + 2 * padding - w_shape[2]) // stride + 1
     Wo = (W + 2 * padding - w_shape[3]) // stride + 1
-    lead = x_shape[:1] if len(x_shape) == 4 else ()
-    g = rng.normal(size=lead + (w_shape[0], Ho, Wo)).astype(dtype)
-    batch = x_shape[0] if len(x_shape) == 4 else 1
-    work = batch * w_shape[0] * Ho * Wo * int(np.prod(w_shape[1:]))
+    g = rng.normal(size=(x_shape[0], w_shape[0], Ho, Wo)).astype(dtype)
+    work = x_shape[0] * w_shape[0] * Ho * Wo * int(np.prod(w_shape[1:]))
     assert work > ad.GEMM_WORK_THRESHOLD
     return x, w, g, stride, padding
 
@@ -548,12 +548,7 @@ def _run_correlate(x, w, g, stride, padding):
 def test_gemm_path_forward_and_gradients_vs_loop_oracle(name):
     x, w, g, stride, padding = _gemm_case(name, np.float64)
     out, gx, gw = _run_correlate(x, w, g, stride, padding)
-    unbatched = x.ndim == 3
-    want, want_gx, want_gw = loop_correlate2d_with_grads(
-        x[None] if unbatched else x, w, g[None] if unbatched else g, stride, padding
-    )
-    if unbatched:
-        want, want_gx = want[0], want_gx[0]
+    want, want_gx, want_gw = loop_correlate2d_with_grads(x, w, g, stride, padding)
     assert out.shape == want.shape and gx.shape == x.shape and gw.shape == w.shape
     np.testing.assert_allclose(out, want, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(gx, want_gx, rtol=1e-10, atol=1e-12)

@@ -7,7 +7,9 @@ import pytest
 from capgram import cli
 from capgram import dataset as ds
 from capgram import experiment as ex
+from capgram import models as md
 from capgram.config import parse_flat
+from tests.test_models import ckpt_record
 
 
 def _write_config(path, dataset_dir, **extra):
@@ -289,6 +291,46 @@ def test_inspect_index_out_of_range_exit_1(workspace, tmp_path, capsys, index):
     assert code == 1
     err = capsys.readouterr().err
     assert f"index {index} out of range for split 'val' (8 samples)" in err
+    assert not out.exists()
+
+
+def test_inspect_cnn_run_exit_1(workspace, tmp_path, capsys):
+    root, cfg, data, run = workspace
+    cnn_cfg = _write_config(
+        tmp_path / "cnn.cfg", data, **{"model.kind": "cnn", "loss.w_ent_start": 0, "loss.w_ent_end": 0}
+    )
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = cli.main(
+        ["inspect", "--config", str(cnn_cfg), "--out", str(out),
+         "--checkpoint", str(run / "final.ckpt"), "--index", "0"]
+    )
+    assert code == 1
+    assert "inspect needs routing layers, which model.kind 'cnn' does not have" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda blob: b"NOPE" + blob[4:], "bad checkpoint magic b'NOPE'"),
+        (lambda blob: blob[:40], "truncated checkpoint"),
+        (lambda blob: md.CHECKPOINT_MAGIC + ckpt_record(b"\xff", (), bytes(8)), "is not UTF-8"),
+        (lambda blob: md.CHECKPOINT_MAGIC + ckpt_record(b"w", (2**32, 2**32), b""), "truncated checkpoint"),
+        (lambda blob: md.CHECKPOINT_MAGIC + 2 * ckpt_record(b"w", (), bytes(8)), "parameter 'w' appears twice"),
+    ],
+    ids=["bad_magic", "truncated_40", "name_not_utf8", "extents_wrap", "duplicate_name"],
+)
+def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, damage, message):
+    root, cfg, data, run = workspace
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(damage((run / "final.ckpt").read_bytes()))
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = cli.main(["eval", "--config", str(cfg), "--out", str(out), "--checkpoint", str(ckpt)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and message in err
     assert not out.exists()
 
 

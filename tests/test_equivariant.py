@@ -7,7 +7,7 @@ from tests.test_autodiff import naive_correlate2d, naive_max_pool
 
 
 def _rand_field(rng, c=2, h=6, w=6):
-    return Tensor(rng.normal(size=(c, h, w)))
+    return Tensor(rng.normal(size=(1, c, h, w)))
 
 
 def test_identity_kernel_is_identity():
@@ -32,8 +32,8 @@ def test_conv_layer_vs_loop_oracle():
     field = _rand_field(rng, c=2, h=6, w=6)
     k = rng.normal(size=(3, 2, 3, 3))
     out = eq.ConvLayer(Tensor(k), stride=1, padding=1)(field)
-    want = naive_correlate2d(field.data, k, stride=1, padding=1)
-    np.testing.assert_array_equal(out.data, want)
+    want = naive_correlate2d(field.data[0], k, stride=1, padding=1)
+    np.testing.assert_array_equal(out.data[0], want)
 
 
 def test_max_pool_examples():
@@ -66,7 +66,7 @@ def test_translate_zero_fill():
 def test_field_validation():
     # layers take plain tensors; correlate2d rejects a rank it cannot read
     layer = eq.ConvLayer(Tensor(np.ones((1, 1, 1, 1))))
-    with pytest.raises(ValueError, match=r"input must be \[C, H, W\] or \[N, C, H, W\]"):
+    with pytest.raises(ValueError, match=r"input must be \[N, C, H, W\]"):
         layer(Tensor(np.zeros((3, 3))))
 
 

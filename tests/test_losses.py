@@ -10,8 +10,9 @@ from capgram.config import ConfigError
 
 
 def _trace(c):
+    """A one-sample trace whose final coefficients are ``c`` [n_in, n_out, H, W]."""
     t = rt.RoutingTrace()
-    t.coefficients.append(c if isinstance(c, Tensor) else Tensor(c))
+    t.coefficients.append(Tensor(c[None]))
     return t
 
 
@@ -20,17 +21,17 @@ def _trace(c):
 
 
 def test_margin_zero_when_hinges_inactive():
-    loss = ls.margin_loss(Tensor(np.array([0.9, 0.1])), 0)
+    loss = ls.margin_loss(Tensor(np.array([[0.9, 0.1]])), 0)
     assert loss.item() == 0.0
 
 
 def test_margin_all_zero_activations():
-    loss = ls.margin_loss(Tensor(np.array([0.0, 0.0])), 0)
+    loss = ls.margin_loss(Tensor(np.array([[0.0, 0.0]])), 0)
     assert loss.item() == pytest.approx(0.81, abs=1e-12)
 
 
 def test_margin_hand_value():
-    loss = ls.margin_loss(Tensor(np.array([0.5, 0.5])), 0)
+    loss = ls.margin_loss(Tensor(np.array([[0.5, 0.5]])), 0)
     assert loss.item() == pytest.approx(0.24, abs=1e-12)
 
 
@@ -42,7 +43,12 @@ def test_margin_batched_is_mean_of_per_sample():
 
 def test_margin_target_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        ls.margin_loss(Tensor(np.array([0.5, 0.5])), 2)
+        ls.margin_loss(Tensor(np.array([[0.5, 0.5]])), 2)
+
+
+def test_margin_rejects_unbatched_activations():
+    with pytest.raises(ValueError, match=r"activations must be \[B, K\]"):
+        ls.margin_loss(Tensor(np.array([0.5, 0.5])), 0)
 
 
 def test_margin_nonnegative_and_zero_condition():
@@ -50,7 +56,7 @@ def test_margin_nonnegative_and_zero_condition():
     for _ in range(50):
         a = rng.uniform(0, 1, size=4)
         t = rng.integers(0, 4)
-        val = ls.margin_loss(Tensor(a), int(t)).item()
+        val = ls.margin_loss(Tensor(a[None]), int(t)).item()
         assert val >= 0.0
         if a[t] >= 0.9 and all(a[k] <= 0.1 for k in range(4) if k != t):
             assert val == 0.0
@@ -63,7 +69,7 @@ def test_margin_gradients():
         return ls.margin_loss(ad.sigmoid(x), 1)
 
     # sigmoid keeps activations off the hinge corners for these points
-    err = ad.grad_check(f, Tensor(rng.normal(size=4)), step=1e-5)
+    err = ad.grad_check(f, Tensor(rng.normal(size=(1, 4))), step=1e-5)
     assert err < 1e-4
 
 
@@ -173,13 +179,13 @@ def test_invalid_schedules_rejected():
 
 def test_margin_plus_entropy_grad_check():
     rng = np.random.default_rng(2)
-    proj = rng.normal(size=(2, 3, 2, 1, 1))
+    proj = rng.normal(size=(1, 2, 3, 2, 1, 1))
 
     def f(x):
-        S = ad.mul(ad.reshape(x, (2, 3, 2, 1, 1)), Tensor(proj))
+        S = ad.mul(ad.reshape(x, (1, 2, 3, 2, 1, 1)), Tensor(proj))
         routed, trace = rt.dynamic_route(S, 3)
         acts = ad.reshape(
-            ad.l2_norm(routed, axis=-3, epsilon=1e-8), (3,)
+            ad.l2_norm(routed, axis=-3, epsilon=1e-8), (1, 3)
         )
         m = ls.margin_loss(acts, 1)
         e = ls.entropy_loss([trace])

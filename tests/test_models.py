@@ -1,9 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capgram import autodiff as ad
 from capgram import models as md
 from capgram.autodiff import Tensor
+from capgram.config import ConfigError
 from tests.helpers import flat_parameters, model_loss_fn
 
 # miniature capsnet: 12 -> stem 10 -> primary 4 -> routed 2 -> class 1
@@ -32,32 +37,32 @@ def _count(model):
 
 
 def test_capsnet_parameter_count_closed_form():
-    m = md.build_capsnet(seed=0)
+    m = md.CapsNet(md.CapsNetConfig(), 0)
     kernels = 16 * 1 * 9 + 32 * 16 * 9 + 64 * 32 * 9 + 8 * 8 * 8 * 9 + 2 * 16 * 8 * 36
     biases = 16 + 32 + 64  # stem and primary-capsule convs; predictions have none
     assert _count(m) == kernels + biases == 37120
 
 
 def test_cnn_parameter_count_closed_form():
-    m = md.build_cnn(seed=0)
+    m = md.CNN(md.CNNConfig(), 0)
     kernels = 16 * 1 * 9 + 32 * 16 * 9 + 64 * 32 * 9 + 64 * 64 * 9 + 2 * 64 * 16
     biases = 16 + 32 + 64 + 64 + 2
     assert _count(m) == kernels + biases == 62274
 
 
 def test_baseline_within_twice_capsnet_parameters():
-    caps = _count(md.build_capsnet(seed=0))
-    cnn = _count(md.build_cnn(seed=0))
+    caps = _count(md.CapsNet(md.CapsNetConfig(), 0))
+    cnn = _count(md.CNN(md.CNNConfig(), 0))
     assert cnn <= 2 * caps
 
 
 def test_same_seed_bit_identical_parameters():
-    a = md.build_capsnet(seed=11)
-    b = md.build_capsnet(seed=11)
+    a = md.CapsNet(md.CapsNetConfig(), 11)
+    b = md.CapsNet(md.CapsNetConfig(), 11)
     for (na, ta), (nb, tb) in zip(a.params.items(), b.params.items()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
-    c = md.build_capsnet(seed=12)
+    c = md.CapsNet(md.CapsNetConfig(), 12)
     assert any(
         not np.array_equal(ta.data, tc.data)
         for (_, ta), (_, tc) in zip(a.params.items(), c.params.items())
@@ -65,7 +70,7 @@ def test_same_seed_bit_identical_parameters():
 
 
 def test_class_count_matches_final_types():
-    m = md.build_capsnet(seed=0)
+    m = md.CapsNet(md.CapsNetConfig(), 0)
     out = m.forward(Tensor(_fixed_image()))
     assert out.class_activations.shape == (1, 2)
     assert out.traces[-1].n_out == 2
@@ -74,13 +79,13 @@ def test_class_count_matches_final_types():
 def test_mismatched_class_layer_rejected():
     bad = md.CapsNetConfig(routed=(md.RoutedSpec(8, 8, 3, 2), md.RoutedSpec(3, 16, 6, 1)))
     with pytest.raises(ValueError, match="expected n_classes"):
-        md.build_capsnet(bad, seed=0)
+        md.CapsNet(bad, 0)
 
 
 def test_wrong_extent_rejected_with_layer_trace():
     bad = md.CapsNetConfig(routed=(md.RoutedSpec(8, 8, 3, 2), md.RoutedSpec(2, 16, 4, 1)))
     with pytest.raises(ValueError, match="extent"):
-        md.build_capsnet(bad, seed=0)
+        md.CapsNet(bad, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ def test_wrong_extent_rejected_with_layer_trace():
 
 
 def test_activations_bounded_below_one():
-    m = md.build_capsnet(seed=3)
+    m = md.CapsNet(md.CapsNetConfig(), 3)
     rng = np.random.default_rng(0)
     out = m.forward(Tensor(rng.uniform(0, 1, size=(4, 1, 32, 32))))
     assert np.all(out.class_activations.data >= 0)
@@ -96,7 +101,7 @@ def test_activations_bounded_below_one():
 
 
 def test_cnn_sigmoid_head_bounded():
-    m = md.build_cnn(seed=3)
+    m = md.CNN(md.CNNConfig(), 3)
     rng = np.random.default_rng(0)
     out = m.forward(Tensor(rng.uniform(0, 1, size=(4, 1, 32, 32))))
     assert np.all((out.class_activations.data > 0) & (out.class_activations.data < 1))
@@ -104,7 +109,7 @@ def test_cnn_sigmoid_head_bounded():
 
 
 def test_duplicated_image_identical_outputs():
-    m = md.build_capsnet(seed=4)
+    m = md.CapsNet(md.CapsNetConfig(), 4)
     img = _fixed_image()
     batch = np.concatenate([img, img], axis=0)
     out = m.forward(Tensor(batch))
@@ -115,7 +120,7 @@ def test_duplicated_image_identical_outputs():
 
 def test_equal_routing_mode_uniform_coefficients():
     cfg = md.CapsNetConfig(routing_mode="equal")
-    m = md.build_capsnet(cfg, seed=5)
+    m = md.CapsNet(cfg, 5)
     out = m.forward(Tensor(_fixed_image()))
     for trace in out.traces:
         c = trace.coefficients[-1].data
@@ -123,7 +128,7 @@ def test_equal_routing_mode_uniform_coefficients():
 
 
 def test_pixel_range_and_extent_validated():
-    m = md.build_capsnet(seed=0)
+    m = md.CapsNet(md.CapsNetConfig(), 0)
     with pytest.raises(ValueError, match="normalized"):
         m.forward(Tensor(np.full((1, 1, 32, 32), 1.5)))
     with pytest.raises(ValueError, match="extent"):
@@ -133,14 +138,14 @@ def test_pixel_range_and_extent_validated():
 def test_nan_pixel_rejected_by_both_models():
     batch = _fixed_image()
     batch[0, 0, 5, 7] = np.nan
-    for model in (md.build_capsnet(seed=0), md.build_cnn(seed=0)):
+    for model in (md.CapsNet(md.CapsNetConfig(), 0), md.CNN(md.CNNConfig(), 0)):
         with pytest.raises(ValueError, match="pixels must be finite"):
             model.forward(Tensor(batch))
 
 
 def test_golden_activation_vector():
     # frozen from the first verified run of the seed-5 default capsnet
-    m = md.build_capsnet(seed=5)
+    m = md.CapsNet(md.CapsNetConfig(), 5)
     out = m.forward(Tensor(_fixed_image()))
     np.testing.assert_allclose(
         out.class_activations.data[0], [0.11279359, 0.15258178], atol=1e-7
@@ -152,7 +157,7 @@ def test_golden_activation_vector():
 
 
 def test_miniature_end_to_end_grad_check():
-    m = md.build_capsnet(MINI, seed=6)
+    m = md.CapsNet(MINI, 6)
     rng = np.random.default_rng(1)
     batch = Tensor(rng.uniform(0, 1, size=(1, 1, 12, 12)))
     fn = model_loss_fn(m, batch, np.array([1]))
@@ -167,7 +172,7 @@ def test_cnn_grad_check():
         image_size=10,
         layers=(md.ConvSpec(3, 3), md.PoolSpec(2, 2), md.ConvSpec(4, 3)),
     )
-    m = md.build_cnn(cfg, seed=7)
+    m = md.CNN(cfg, 7)
     rng = np.random.default_rng(2)
     # offsets keep pool-window ties and argmax flips away from the check
     batch = Tensor(
@@ -183,13 +188,13 @@ def test_cnn_grad_check():
 
 
 def test_checkpoint_round_trip_byte_exact(tmp_path):
-    m = md.build_capsnet(MINI, seed=8)
+    m = md.CapsNet(MINI, 8)
     # beyond f32 range, but finite for this f64 model
     m.params["routed.1.filters"].data[0, 1, 2, 0, 1] = 1e300
     p1 = tmp_path / "a.ckpt"
     md.save_checkpoint(m, p1)
     state = md.load_checkpoint(p1)
-    m2 = md.build_capsnet(MINI, seed=99)
+    m2 = md.CapsNet(MINI, 99)
     md.load_state(m2, state)
     p2 = tmp_path / "b.ckpt"
     md.save_checkpoint(m2, p2)
@@ -199,10 +204,10 @@ def test_checkpoint_round_trip_byte_exact(tmp_path):
 
 
 def test_checkpoint_narrow_precision_round_trip(tmp_path):
-    m = md.build_capsnet(MINI, seed=9, dtype=np.float32)
+    m = md.CapsNet(MINI, 9, np.float32)
     p = tmp_path / "narrow.ckpt"
     md.save_checkpoint(m, p)
-    m2 = md.build_capsnet(MINI, seed=0, dtype=np.float32)
+    m2 = md.CapsNet(MINI, 0, np.float32)
     md.load_state(m2, md.load_checkpoint(p))
     out1 = m.forward(Tensor(np.zeros((1, 1, 12, 12), dtype=np.float32)))
     out2 = m2.forward(Tensor(np.zeros((1, 1, 12, 12), dtype=np.float32)))
@@ -214,23 +219,91 @@ def test_checkpoint_narrow_precision_round_trip(tmp_path):
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(ConfigError, match="magic"):
         md.load_checkpoint(p)
-    m = md.build_capsnet(MINI, seed=8)
+    m = md.CapsNet(MINI, 8)
     good = tmp_path / "good.ckpt"
     md.save_checkpoint(m, good)
     blob = good.read_bytes()
     trunc = tmp_path / "trunc.ckpt"
     trunc.write_bytes(blob[: len(blob) - 7])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ConfigError, match="truncated"):
         md.load_checkpoint(trunc)
 
 
+@pytest.fixture(scope="module")
+def ckpt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt")
+
+
+@pytest.fixture(scope="module")
+def mini_checkpoint(ckpt_dir):
+    path = ckpt_dir / "mini.ckpt"
+    md.save_checkpoint(md.CapsNet(MINI, 8), path)
+    return path.read_bytes(), md.load_checkpoint(path)
+
+
+def _load_or_refuse(directory, blob):
+    """Load ``blob`` as a checkpoint: a name -> array mapping, or None after
+    a ConfigError that names the file."""
+    path = directory / "fuzz.ckpt"
+    path.write_bytes(blob)
+    try:
+        return md.load_checkpoint(path)
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+        return None
+
+
+def test_checkpoint_every_truncation_loads_a_prefix_or_refuses(ckpt_dir, mini_checkpoint):
+    blob, full = mini_checkpoint
+    for keep in range(len(blob)):
+        state = _load_or_refuse(ckpt_dir, blob[:keep])
+        if state is not None:  # cut at a parameter boundary
+            assert list(state) == list(full)[: len(state)]
+            for name, values in state.items():
+                np.testing.assert_array_equal(values, full[name])
+
+
+@given(tail=st.binary(max_size=96))
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_fuzz_bytes_after_magic(ckpt_dir, tail):
+    _load_or_refuse(ckpt_dir, md.CHECKPOINT_MAGIC + tail)
+
+
+# Small extents make records the loader can accept; large ones declare more
+# values than any file holds, and two of them multiply past 2**64.
+CKPT_EXTENT = st.one_of(st.integers(0, 3), st.sampled_from([2**32, 2**63, 2**64 - 1]))
+CKPT_RECORD = st.tuples(
+    st.binary(max_size=3), st.lists(CKPT_EXTENT, max_size=3), st.binary(max_size=40)
+)
+
+
+def ckpt_record(name, extents, payload):
+    """One checkpoint parameter record: name, declared extents, then ``payload``."""
+    return b"".join(
+        [struct.pack("<Q", len(name)), name, struct.pack("<Q", len(extents))]
+        + [struct.pack("<Q", e) for e in extents]
+        + [payload]
+    )
+
+
+@given(records=st.lists(CKPT_RECORD, max_size=3))
+@example(records=[(b"\xff", [], bytes(8))])
+@example(records=[(b"w", [2**32, 2**32], b"")])
+@example(records=[(b"w", [0, 2**64 - 1], b"")])
+@example(records=[(b"w", [], bytes(8)), (b"w", [], bytes(8))])
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_fuzz_declared_records(ckpt_dir, records):
+    blob = md.CHECKPOINT_MAGIC + b"".join(ckpt_record(*r) for r in records)
+    _load_or_refuse(ckpt_dir, blob)
+
+
 def test_checkpoint_shape_mismatch_rejected(tmp_path):
-    m = md.build_capsnet(MINI, seed=8)
+    m = md.CapsNet(MINI, 8)
     p = tmp_path / "mini.ckpt"
     md.save_checkpoint(m, p)
-    other = md.build_capsnet(seed=0)
+    other = md.CapsNet(md.CapsNetConfig(), 0)
     with pytest.raises(ValueError, match="shape"):
         md.load_state(other, md.load_checkpoint(p))
 
@@ -245,10 +318,10 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     ],
 )
 def test_checkpoint_non_finite_value_rejected(tmp_path, dtype, bad):
-    m = md.build_capsnet(MINI, seed=8)
+    m = md.CapsNet(MINI, 8)
     m.params["routed.1.filters"].data[0, 1, 2, 0, 1] = bad
     p = tmp_path / "mini.ckpt"
     md.save_checkpoint(m, p)
     with pytest.raises(ValueError, match=r"'routed.1.filters' holds non-finite"):
-        md.load_state(md.build_capsnet(MINI, seed=8, dtype=dtype), md.load_checkpoint(p))
+        md.load_state(md.CapsNet(MINI, 8, dtype), md.load_checkpoint(p))
 

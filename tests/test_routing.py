@@ -99,44 +99,44 @@ def test_squash_norm_law_property(seed):
 
 def test_predict_zero_field_zero_predictions():
     rng = np.random.default_rng(0)
-    caps = Tensor(np.zeros((2, 3, 5, 5)))
+    caps = Tensor(np.zeros((1, 2, 3, 5, 5)))
     filters = Tensor(rng.normal(size=(4, 2, 3, 3, 3)))
-    S = rt.predict(caps, filters)
+    S = rt.predict(caps, filters, 1)
     assert np.all(S.data == 0.0)
 
 
 def test_predict_identity_kernels_pass_through():
     rng = np.random.default_rng(1)
-    caps = Tensor(rng.normal(size=(1, 3, 4, 4)))
+    caps = Tensor(rng.normal(size=(1, 1, 3, 4, 4)))
     k = np.zeros((1, 3, 3, 1, 1))
     for d in range(3):
         k[0, d, d, 0, 0] = 1.0
-    S = rt.predict(caps, Tensor(k))
-    np.testing.assert_array_equal(S.data[0, 0], caps.data[0])
+    S = rt.predict(caps, Tensor(k), 1)
+    np.testing.assert_array_equal(S.data[0, 0, 0], caps.data[0, 0])
 
 
 def test_predict_vs_loop_oracle():
     rng = np.random.default_rng(2)
-    caps = rng.normal(size=(3, 2, 5, 5))
+    caps = rng.normal(size=(1, 3, 2, 5, 5))
     filters = rng.normal(size=(2, 4, 2, 3, 3))
-    S = rt.predict(Tensor(caps), Tensor(filters), stride=2, padding=1)
-    np.testing.assert_array_equal(S.data, naive_predict(caps, filters, 2, 1))
+    S = rt.predict(Tensor(caps), Tensor(filters), 2)
+    np.testing.assert_array_equal(S.data[0], naive_predict(caps[0], filters, 2))
 
 
 def test_predict_shares_bank_across_input_types():
     rng = np.random.default_rng(3)
-    caps = rng.normal(size=(3, 2, 4, 4))
+    caps = rng.normal(size=(1, 3, 2, 4, 4))
     filters = rng.normal(size=(2, 2, 2, 1, 1))
-    S = rt.predict(Tensor(caps), Tensor(filters))
+    S = rt.predict(Tensor(caps), Tensor(filters), 1)
     for i in range(3):
-        single = rt.predict(Tensor(caps[i : i + 1]), Tensor(filters))
-        np.testing.assert_array_equal(S.data[i], single.data[0])
+        single = rt.predict(Tensor(caps[:, i : i + 1]), Tensor(filters), 1)
+        np.testing.assert_array_equal(S.data[0, i], single.data[0, 0])
 
 
 def test_predict_dim_mismatch_error():
-    caps = Tensor(np.zeros((2, 3, 4, 4)))
+    caps = Tensor(np.zeros((1, 2, 3, 4, 4)))
     with pytest.raises(ValueError, match="does not match filter input dim"):
-        rt.predict(caps, Tensor(np.zeros((2, 2, 5, 1, 1))))
+        rt.predict(caps, Tensor(np.zeros((2, 2, 5, 1, 1))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_predict_dim_mismatch_error():
 
 
 def _random_stack(rng, I=2, J=3, D=2, H=2, W=2, scale=1.0):
-    return Tensor(rng.normal(scale=scale, size=(I, J, D, H, W)))
+    return Tensor(rng.normal(scale=scale, size=(1, I, J, D, H, W)))
 
 
 def test_one_iteration_equals_equal_route_bitwise():
@@ -159,14 +159,14 @@ def test_hand_trace_agreement_update():
     # two shallow capsules both predicting deep type 0 with scalar value 1:
     # iteration 1 is uniform, f_0 = squash(1) = 0.5, so the agreement adds
     # 0.5 onto the type-0 logits and iteration 2 softmaxes (0.5, 0).
-    S = np.zeros((2, 2, 1, 1, 1))
-    S[:, 0, 0, 0, 0] = 1.0
+    S = np.zeros((1, 2, 2, 1, 1, 1))
+    S[0, :, 0, 0, 0, 0] = 1.0
     _, trace = rt.dynamic_route(Tensor(S), 2)
-    c2 = trace.coefficients[1].data
+    c2 = trace.coefficients[1].data[0]
     np.testing.assert_allclose(c2[:, 0, 0, 0], [0.62246, 0.62246], atol=1e-4)
     np.testing.assert_allclose(c2[:, 1, 0, 0], [0.37754, 0.37754], atol=1e-4)
     # iteration 1 softmaxes all-zero logits: exactly 1/n_out
-    np.testing.assert_array_equal(trace.coefficients[0].data, np.full((2, 2, 1, 1), 0.5))
+    np.testing.assert_array_equal(trace.coefficients[0].data, np.full((1, 2, 2, 1, 1), 0.5))
 
 
 def test_coefficients_form_simplex_every_iteration():
@@ -189,7 +189,7 @@ def test_equal_route_single_input_type():
     rng = np.random.default_rng(7)
     S = _random_stack(rng, I=1, J=3)
     out = rt.equal_route_traced(S)[0].data
-    want = rt.squash(ad.scale(Tensor(S.data[0]), 1.0 / 3.0), axis=-3).data
+    want = rt.squash(ad.scale(Tensor(S.data[:, 0]), 1.0 / 3.0), axis=-3).data
     np.testing.assert_allclose(out, want, atol=1e-15)
 
 
@@ -197,7 +197,7 @@ def test_equal_route_vs_loop_oracle():
     rng = np.random.default_rng(8)
     S = _random_stack(rng, I=3, J=2, D=3, H=2, W=2)
     out = rt.equal_route_traced(S)[0].data
-    np.testing.assert_allclose(out, naive_equal_route(S.data), atol=1e-12)
+    np.testing.assert_allclose(out[0], naive_equal_route(S.data[0]), atol=1e-12)
 
 
 def test_batched_routing_matches_per_sample():
@@ -205,8 +205,8 @@ def test_batched_routing_matches_per_sample():
     S = rng.normal(size=(3, 2, 3, 2, 2, 2))
     routed, _ = rt.dynamic_route(Tensor(S), 3)
     for n in range(3):
-        single, _ = rt.dynamic_route(Tensor(S[n]), 3)
-        np.testing.assert_array_equal(routed.data[n], single.data)
+        single, _ = rt.dynamic_route(Tensor(S[n][None]), 3)
+        np.testing.assert_array_equal(routed.data[n], single.data[0])
 
 
 def test_capsule_norms_below_one_after_routing():
@@ -325,8 +325,9 @@ def test_route_non_finite_predictions_raise(bad):
 
 
 def _trace_with_coefficients(c):
+    """A one-sample trace whose final coefficients are ``c`` [n_in, n_out, H, W]."""
     t = rt.RoutingTrace()
-    t.coefficients.append(Tensor(c))
+    t.coefficients.append(Tensor(c[None]))
     return t
 
 
@@ -382,14 +383,14 @@ def test_entropy_non_increasing_across_iterations():
 
 def test_extract_parse_picks_argmax():
     c = np.array([0.1, 0.7, 0.2]).reshape(1, 3, 1, 1)
-    forest = rt.extract_parse(_trace_with_coefficients(c))
+    forest = rt.extract_parse(_trace_with_coefficients(c), 0)
     assert forest.parent[0, 0, 0] == 1
     assert forest.strength[0, 0, 0] == pytest.approx(0.7)
 
 
 def test_extract_parse_tie_breaks_low():
     c = np.full((2, 4, 1, 1), 0.25)
-    forest = rt.extract_parse(_trace_with_coefficients(c))
+    forest = rt.extract_parse(_trace_with_coefficients(c), 0)
     assert np.all(forest.parent == 0)
     assert np.all(forest.strength == 0.25)
 
@@ -402,7 +403,7 @@ def test_extract_parse_one_hot_pattern():
         for y in range(2):
             for x in range(2):
                 c[i, target[i, y, x], y, x] = 1.0
-    forest = rt.extract_parse(_trace_with_coefficients(c))
+    forest = rt.extract_parse(_trace_with_coefficients(c), 0)
     np.testing.assert_array_equal(forest.parent, target)
 
 
@@ -410,7 +411,7 @@ def test_parse_strength_at_least_uniform():
     rng = np.random.default_rng(14)
     S = _random_stack(rng, J=4)
     _, trace = rt.dynamic_route(S, 3)
-    forest = rt.extract_parse(trace)
+    forest = rt.extract_parse(trace, 0)
     assert np.all(forest.strength >= 1.0 / 4.0 - 1e-12)
 
 
@@ -448,10 +449,10 @@ def test_parse_to_dot_labels():
 
 def test_routing_block_grad_check():
     rng = np.random.default_rng(15)
-    proj = rng.normal(size=(3, 2, 2, 2))
+    proj = rng.normal(size=(1, 3, 2, 2, 2))
 
     def f(S_flat):
-        S = ad.reshape(S_flat, (2, 3, 2, 2, 2))
+        S = ad.reshape(S_flat, (1, 2, 3, 2, 2, 2))
         routed, trace = rt.dynamic_route(S, 3)
         score = ad.reduce_sum(ad.mul(routed, Tensor(proj)))
         return ad.add(score, rt.routing_entropy(trace))
@@ -462,12 +463,12 @@ def test_routing_block_grad_check():
 
 def test_predict_route_translation_equivariance():
     rng = np.random.default_rng(16)
-    caps = rng.normal(size=(2, 2, 9, 9))
+    caps = rng.normal(size=(1, 2, 2, 9, 9))
     filters = Tensor(rng.normal(size=(3, 2, 2, 3, 3)))
 
     def pipeline(arr):
         with ad.no_grad():
-            S = rt.predict(Tensor(arr), filters, stride=1, padding=0)
+            S = rt.predict(Tensor(arr), filters, 1)
             routed, _ = rt.dynamic_route(S, 3)
         return routed.data
 

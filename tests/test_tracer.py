@@ -1,12 +1,16 @@
-"""The benchmark's span tracer against the package it patches.
+"""The benchmark's span tracer and harness against the package they use.
 
 ``perfbench/tracer.py`` replaces capgram functions by attribute name, so a
 renamed or removed function breaks ``perfbench/run.py --trace 1``. These
 tests install the tracer on the capgram modules, run one forward and
 backward pass, and check the spans and the restored attributes.
+``perfbench/run.py`` reads model-config fields by name to derive the parse
+it expects from ``inspect``; the last test checks that derivation against
+a real forward pass.
 """
 
 import importlib.util
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,18 +23,23 @@ from capgram import (
 from capgram.autodiff import Tensor
 from tests.test_models import MINI
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 MODULES = dict(
     autodiff=autodiff, dataset=dataset, equivariant=equivariant, experiment=experiment,
     grammar=grammar, losses=losses, models=models, optim=optim, routing=routing,
 )
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer_module():
+    return _load("perfbench_tracer", TRACER_PATH)
 
 
 @pytest.mark.parametrize("mode", ["dynamic", "equal"])
@@ -44,7 +53,7 @@ def test_tracer_spans_one_capsnet_step(mode):
         (equivariant.ConvLayer, "__call__"): equivariant.ConvLayer.__call__,
         (models.CapsNet, "forward"): models.CapsNet.forward,
     }
-    model = models.build_capsnet(replace(MINI, routing_mode=mode), seed=0)
+    model = models.CapsNet(replace(MINI, routing_mode=mode), 0)
     tracer = _tracer_module().Tracer(MODULES)
     tracer.install()
     try:
@@ -69,3 +78,14 @@ def test_tracer_spans_one_capsnet_step(mode):
     assert {"equivariant.ConvLayer", "routing.predict", "autodiff.backward"} <= names
     assert f"{route}.L0.bwd" in names
     assert tracer.counts["autodiff.correlate2d.calls"] == 4  # stem, primary, 2 predictions
+
+
+def test_run_parse_edges_match_inspect_parse(monkeypatch):
+    # run.py imports its sibling as ``tracer``
+    monkeypatch.setitem(sys.modules, "tracer", _tracer_module())
+    run = _load("perfbench_run", PERFBENCH / "run.py")
+    model = models.CapsNet(models.CapsNetConfig(), 0)
+    with autodiff.no_grad():
+        out = model.forward(Tensor(np.full((1, 1, 32, 32), 0.5)))
+    edges = [routing.parse_to_dot(routing.extract_parse(t, 0)).count("->") for t in out.traces]
+    assert run.parse_edges_per_layer(MODULES) == edges
