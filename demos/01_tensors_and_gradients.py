@@ -1,7 +1,8 @@
 """Tensors with reverse-mode gradients, and checking them by finite differences.
 
 The engine is a small tape: every primitive records its parents and an
-adjoint closure; backward walks the tape in reverse topological order.
+adjoint closure; backward walks the tape in reverse topological order and
+frees each node's saved values once it has used them.
 """
 
 import numpy as np

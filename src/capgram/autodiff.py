@@ -11,9 +11,10 @@ a batch-major im2col patch matrix [N, C·kH·kW, Ho·Wo] (Chellapilla et al.,
 ``correlate2d``'s forward reads the patch matrix one row at a time at or
 below ``GEMM_WORK_THRESHOLD`` and multiplies the flattened kernels into it
 above; the backward always rebuilds the patches, contracts them with the
-adjoint for the kernel gradient, and adds ``kernelsᵀ @ g`` back into the
-input gradient with col2im.  ``max_pool_window`` takes each window's
-maximum over its patch rows and puts the adjoint back at that row.
+adjoint for the kernel gradient, and, unless the input is a constant, adds
+``kernelsᵀ @ g`` back into the input gradient with col2im.
+``max_pool_window`` takes each window's maximum over its patch rows and
+puts the adjoint back at that row.
 """
 
 from __future__ import annotations
@@ -31,10 +32,14 @@ NARROW = np.float32
 # one patch row at a time, an accumulation order the loop-oracle tests pin
 # exactly (all of their inputs are small); above it, one GEMM.  Backward
 # always uses im2col and col2im, whatever the size.  It rebuilds the patch
-# matrix rather than keeping the forward's: kept patches stay alive until
-# the backward sweep reaches their call (about 25 MB per f32 capsnet step at
-# batch 32, which raised training peak RSS by about half), while rebuilding
-# costs well under a millisecond a call.
+# matrix rather than keeping the forward's.  The five capsnet sites' patches
+# come to 23.5 MB per f32 step at batch 32, and kept ones would stay alive
+# until the sweep reaches their call, while the sweep frees the rest of the
+# tape behind it.  Keeping them raised capsnet-train's peak RSS from about
+# 107 to 140 MB, most of what freeing the tape saves, while its step p50
+# moved by at most 8%.  Rebuilding costs 0.1-5 ms a call (the second stem
+# conv's 14 MB matrix is the dearest), about 6-9 ms a step (2-core Xeon,
+# one BLAS thread).
 GEMM_WORK_THRESHOLD = 1_000_000
 
 _grad_enabled = True
@@ -58,8 +63,9 @@ class Tensor:
     Leaves are tensors created directly (parameters, inputs); interior nodes
     carry a closure that maps the incoming adjoint to per-parent adjoints.
     ``backward`` accumulates gradients additively into ``grad`` of every
-    ``requires_grad`` leaf reachable from the loss; repeated calls without
-    ``zero_grad`` keep accumulating.
+    ``requires_grad`` leaf reachable from the loss and frees the graph it
+    swept; backward calls on fresh graphs over the same leaves, without
+    ``zero_grad``, keep accumulating.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -100,7 +106,14 @@ class Tensor:
         """Reverse-mode sweep from a scalar loss.
 
         Visits nodes in exact reverse topological order; fan-out adjoints
-        are accumulated additively before a node is processed.
+        are accumulated additively before a node is processed.  The sweep
+        frees the graph behind it: once a node's closure has run, or the node
+        turned out to get no adjoint, it drops its parents and its closure
+        (and with them every value the forward saved for the backward), so a
+        swept graph holds only the ``data`` of the nodes still bound.  A second
+        sweep through a swept node, from the same loss or from a new graph
+        built on a swept tensor, raises ``RuntimeError``.  Gradients keep
+        accumulating across sweeps of fresh graphs over the same leaves.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -123,25 +136,32 @@ class Tensor:
                     stack.append((p, False))
 
         adjoints = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = adjoints.pop(id(node), None)
-            if g is None:
-                continue
             if node._backward is None:
-                if node.requires_grad:
+                if g is not None and node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None:
-                    continue
-                if parent._backward is None and not parent.requires_grad:
-                    continue
-                key = id(parent)
-                adjoints[key] = pg if key not in adjoints else adjoints[key] + pg
+            if g is not None:
+                for parent, pg in zip(node._parents, node._backward(g)):
+                    if pg is None:
+                        continue
+                    if parent._backward is None and not parent.requires_grad:
+                        continue
+                    key = id(parent)
+                    adjoints[key] = pg if key not in adjoints else adjoints[key] + pg
+            node._parents = ()
+            node._backward = _swept
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
+
+
+def _swept(g):
+    """Closure of a node a backward sweep has passed: its saved values are gone."""
+    raise RuntimeError("backward reached a node an earlier sweep already used and freed")
 
 
 def _as_tensor(x, like=None):
@@ -523,6 +543,9 @@ def correlate2d(a, kernels, stride=1, padding=0):
         # instead of N matrix-vector products.
         out = cols.reshape(N, K) @ w2.T if P == 1 else np.matmul(w2, cols)
     out = out.reshape(N, O, Ho, Wo)
+    # a constant input (the image batch) gets no gradient: skip the GEMM and
+    # col2im that would build one only for the sweep to drop it
+    input_grad = a.requires_grad or a._backward is not None
 
     def backward(g):
         g3 = g.reshape(N, O, P)
@@ -535,6 +558,8 @@ def correlate2d(a, kernels, stride=1, padding=0):
             gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
         else:
             gw = np.tensordot(g3, cols, axes=((0, 2), (0, 2)))
+        if not input_grad:
+            return (None, gw.reshape(w.shape))
         gcols = g3.reshape(N, O) @ w2 if P == 1 else np.matmul(w2.T, g3)
         gxp = _col2im(gcols, (N, C, Hp, Wp), kH, kW, stride, Ho, Wo)
         gx = gxp[:, :, padding : padding + H, padding : padding + W] if padding else gxp

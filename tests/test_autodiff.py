@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,59 @@ def test_backward_accumulates_and_resets():
     assert x.grad is None
 
 
+def _interior_nodes(loss):
+    """Every node with a closure reachable from ``loss``."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes and node._backward is not None:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_backward_releases_every_interior_node():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    h = ad.relu(ad.correlate2d(x, w, 1, 1))
+    # a node whose only consumer gives it no adjoint is visited but never run
+    dropped = ad.sigmoid(h)
+    blocked = ad._node(dropped.data.copy(), (dropped,), lambda g: (None,))
+    loss = ad.add(ad.reduce_mean(ad.max_pool_window(h, 2, 2)), ad.reduce_sum(blocked))
+    nodes = _interior_nodes(loss)
+    assert len(nodes) == 8
+    loss.backward()
+    assert all(n._parents == () for n in nodes)
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert x._backward is None and w._backward is None
+
+
+def test_backward_frees_values_only_a_closure_saved():
+    x = Tensor(np.array([-1.0, 2.0, -3.0]), requires_grad=True)
+    y = ad.relu(x)
+    (cell,) = y._backward.__closure__
+    mask = weakref.ref(cell.cell_contents)
+    del cell
+    assert mask().dtype == bool
+    ad.reduce_sum(y).backward()
+    assert mask() is None
+    np.testing.assert_array_equal(y.data, [0.0, 2.0, 0.0])
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+def test_second_sweep_through_swept_nodes_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = ad.mul(x, x)
+    loss = ad.reduce_sum(y)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="earlier sweep already used and freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="earlier sweep already used and freed"):
+        ad.reduce_sum(ad.scale(y, 2.0)).backward()
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+
 def test_backward_fanout_adds():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = ad.add(x, x)  # dy/dx = 2
@@ -575,6 +630,19 @@ def test_gemm_path_repeat_calls_byte_identical(name, dtype):
     second = _run_correlate(*case)
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
+
+
+def test_correlate2d_gives_a_constant_input_no_gradient():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 3, 9, 9))
+    w = rng.normal(size=(4, 3, 3, 3))
+    g = rng.normal(size=(2, 4, 5, 5))
+    const = ad.correlate2d(Tensor(x), Tensor(w, requires_grad=True), 2, 1)
+    tracked = ad.correlate2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), 2, 1)
+    gx_const, gw_const = const._backward(g)
+    gx, gw = tracked._backward(g)
+    assert gx_const is None and gx.shape == x.shape
+    np.testing.assert_array_equal(gw_const, gw)
 
 
 # ---------------------------------------------------------------------------
