@@ -12,8 +12,12 @@ recorded in call order with their shapes. Each site runs in float32 and
 float64 on fixed random inputs: forward is one call on inputs that require
 gradients, backward one call of the node's backward closure with a fixed
 adjoint. Each time is the minimum of 15 calls after one warm-up call, with
-BLAS pinned to one thread. The run (per-site times, totals per model and
-function, and the environment: numpy version, BLAS configuration and
+BLAS pinned to one thread. Each site's memory is the tracemalloc peak, in
+MB, of one more forward and one more backward call, made apart from the
+timed ones so that tracing does not slow them; the forward's counts the
+output and the closure's saved values it returns. The run (per-site times
+and peaks, totals per model and function, and the environment: numpy
+version, BLAS configuration and
 threads, nproc) is appended to the list of runs of the commit it ran on
 (``git describe --always --dirty``) in the JSON at ``--out``; runs already
 in that file are kept, so running the script on two commits in turn puts
@@ -28,6 +32,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +126,15 @@ def min_ms(fn):
     return best * 1e3
 
 
+def peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def time_site(np, ad, site, dtype):
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.standard_normal(site["input"]).astype(dtype), requires_grad=True)
@@ -132,7 +146,12 @@ def time_site(np, ad, site, dtype):
     fn = getattr(ad, site["function"])
     out = fn(*args)
     g = rng.standard_normal(out.shape).astype(dtype)
-    return {"fwd_ms": min_ms(lambda: fn(*args)), "bwd_ms": min_ms(lambda: out._backward(g))}
+    return {
+        "fwd_ms": min_ms(lambda: fn(*args)),
+        "bwd_ms": min_ms(lambda: out._backward(g)),
+        "fwd_peak_mb": peak_mb(lambda: fn(*args)),
+        "bwd_peak_mb": peak_mb(lambda: out._backward(g)),
+    }
 
 
 def main(argv=None):
@@ -150,7 +169,7 @@ def main(argv=None):
 
     sites = find_sites(np, ad, models)
     totals = {dt: {f"{m}.{fn}": {"fwd_ms": 0.0, "bwd_ms": 0.0} for m, fn in SITES} for dt in DTYPES}
-    print(f"{'site':9s} {'input':18s} {'kernels':16s} s p  " + "  ".join(f"{dt} fwd/bwd ms" for dt in DTYPES))
+    print(f"{'site':9s} {'input':18s} {'kernels':16s} s p  " + "  ".join(f"{dt} fwd/bwd ms, peak MB" for dt in DTYPES))
     for site in sites:
         if site["function"] == "correlate2d":
             O, C, kH, kW = site["kernels"]
@@ -167,7 +186,10 @@ def main(argv=None):
         print(
             f"{site['site']:9s} {str(site['input']):18s} {str(window):16s} "
             f"{site['stride']} {site.get('padding', 0)}  "
-            + "  ".join(f"{site[dt]['fwd_ms']:8.3f} {site[dt]['bwd_ms']:8.3f}" for dt in DTYPES),
+            + "  ".join(
+                f"{site[dt]['fwd_ms']:8.3f} {site[dt]['bwd_ms']:8.3f} {site[dt]['fwd_peak_mb']:6.2f} {site[dt]['bwd_peak_mb']:6.2f}"
+                for dt in DTYPES
+            ),
             flush=True,
         )
     out = Path(args.out)

@@ -6,13 +6,16 @@ Primitives fix their floating-point evaluation order, so identical inputs
 produce bit-identical outputs on a given platform.
 
 Both spatial primitives cut their input into windows one way, as rows of
-a batch-major im2col patch matrix [N, C·kH·kW, Ho·Wo] (Chellapilla et al.,
-2006), and add window gradients back one way, with its adjoint col2im.
-``correlate2d``'s forward reads the patch matrix one row at a time at or
-below ``GEMM_WORK_THRESHOLD`` and multiplies the flattened kernels into it
-above; the backward always rebuilds the patches, contracts them with the
-adjoint for the kernel gradient, and, unless the input is a constant, adds
-``kernelsᵀ @ g`` back into the input gradient with col2im.
+a batch-major im2col patch matrix [n, C·kH·kW, Ho·Wo] (Chellapilla et al.,
+2006), and add window gradients back one way, with its adjoint col2im, into
+an input gradient the caller has zeroed.  ``correlate2d``'s forward reads
+the patch matrix one row at a time at or below ``GEMM_WORK_THRESHOLD`` and
+multiplies the flattened kernels into it above; the backward always rebuilds
+the patches, contracts them with the adjoint for the kernel gradient, and,
+unless the input is a constant, adds ``kernelsᵀ @ g`` back into the input
+gradient with col2im.  Above the threshold both directions build the patch
+matrix for one block of about ``PATCH_BLOCK`` elements' worth of samples at
+a time, so no whole-batch patch matrix or patch gradient exists.
 ``max_pool_window`` takes each window's maximum over its patch rows and
 puts the adjoint back at that row.
 """
@@ -30,17 +33,23 @@ NARROW = np.float32
 # correlate2d's forward reads the im2col patch matrix either way and picks
 # its evaluation by work count: up to this many multiply-accumulates it adds
 # one patch row at a time, an accumulation order the loop-oracle tests pin
-# exactly (all of their inputs are small); above it, one GEMM.  Backward
-# always uses im2col and col2im, whatever the size.  It rebuilds the patch
-# matrix rather than keeping the forward's.  The five capsnet sites' patches
-# come to 23.5 MB per f32 step at batch 32, and kept ones would stay alive
-# until the sweep reaches their call, while the sweep frees the rest of the
-# tape behind it.  Keeping them raised capsnet-train's peak RSS from about
-# 107 to 140 MB, most of what freeing the tape saves, while its step p50
-# moved by at most 8%.  Rebuilding costs 0.1-5 ms a call (the second stem
-# conv's 14 MB matrix is the dearest), about 6-9 ms a step (2-core Xeon,
-# one BLAS thread).
+# exactly (all of their inputs are small); above it, one GEMM per sample.
+# Backward always uses im2col and col2im, whatever the size.  It rebuilds the
+# patches rather than keeping the forward's: the GEMM paths only ever hold
+# one block of them (below), and keeping them would hold whole-batch
+# matrices, 23.5 MB for the five capsnet sites per f32 step at batch 32,
+# until the sweep reached each call.  Rebuilding costs 0.1-5 ms a call
+# (the second stem conv's patches are the dearest), about 6-9 ms a step
+# (2-core Xeon, one BLAS thread).
 GEMM_WORK_THRESHOLD = 1_000_000
+# Patch elements per block of samples on the GEMM paths (1 MiB in float32).
+# Each sample's GEMM is the same BLAS call as over the whole batch, so the
+# block size changes no output bit; it bounds the patches and patch
+# gradients alive at once, which at batch 32 would otherwise reach 14.4 MB
+# each at the second stem conv.  The whole-batch GEMMs (a 1×1 output, or
+# one kernel-gradient contraction over the batch) keep one block: their
+# patches are small.
+PATCH_BLOCK = 1 << 18
 
 _grad_enabled = True
 
@@ -443,7 +452,8 @@ def max_pool_window(a, window, stride):
     def backward(g):
         gcols = np.zeros((n_lead, window * window, Ho * Wo), dtype=a.data.dtype)
         np.put_along_axis(gcols, arg, g.reshape(n_lead, 1, Ho * Wo), axis=1)
-        gx = _col2im(gcols, shape, window, window, stride, Ho, Wo)
+        gx = np.zeros(shape, dtype=a.data.dtype)
+        _col2im(gcols, gx, window, window, stride, Ho, Wo)
         return (gx.reshape(a.data.shape),)
 
     return _node(out, (a,), backward)
@@ -455,6 +465,7 @@ def _im2col(xp, kH, kW, stride, Ho, Wo):
     Row ``c·kH·kW + u·kW + v`` of sample n holds channel c shifted by (u, v),
     the order of ``kernels.reshape(O, -1)``; each sample's block is
     contiguous, so per-sample GEMMs read it without a transposed copy.
+    ``xp`` is the whole batch or one block of its samples.
     """
     N, C = xp.shape[:2]
     win = sliding_window_view(xp, (kH, kW), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -462,17 +473,18 @@ def _im2col(xp, kH, kW, stride, Ho, Wo):
     return cols.reshape(N, C * kH * kW, Ho * Wo)
 
 
-def _col2im(gcols, shape, kH, kW, stride, Ho, Wo):
-    """Adjoint of ``_im2col``: sum patch gradients into a zero gradient of
-    the padded input.
+def _col2im(gcols, gxp, kH, kW, stride, Ho, Wo):
+    """Adjoint of ``_im2col``: add patch gradients into ``gxp``, the
+    gradient of the padded input (or of one block of its samples), which
+    the caller has zeroed.
 
     Adds one [N, C, Ho, Wo] plane per kernel offset, or one [N, C, kH, kW]
     block per output position when those are fewer (a 1×1 output is a
-    single block).
+    single block).  Each element receives its additions in that order,
+    whichever samples ``gxp`` holds.
     """
-    N, C = shape[:2]
+    N, C = gxp.shape[:2]
     gc = gcols.reshape(N, C, kH, kW, Ho, Wo)
-    gxp = np.zeros(shape, dtype=gcols.dtype)
     if kH * kW <= Ho * Wo:
         for u in range(kH):
             for v in range(kW):
@@ -485,7 +497,6 @@ def _col2im(gcols, shape, kH, kW, stride, Ho, Wo):
                 gxp[:, :, y * stride : y * stride + kH, x * stride : x * stride + kW] += (
                     gc[..., y, x]
                 )
-    return gxp
 
 
 def correlate2d(a, kernels, stride=1, padding=0):
@@ -531,17 +542,23 @@ def correlate2d(a, kernels, stride=1, padding=0):
     w = kernels.data
     K, P = C * kH * kW, Ho * Wo
     w2 = w.reshape(O, K)
-    cols = _im2col(xp, kH, kW, stride, Ho, Wo)
+    block = max(1, PATCH_BLOCK // (K * P))  # samples per patch block
     if N * O * P * K <= GEMM_WORK_THRESHOLD:
         # Row k = c·kH·kW + u·kW + v in row order: per output cell the
         # multiplies and adds of a scalar (c, u, v) loop, bit for bit.
+        cols = _im2col(xp, kH, kW, stride, Ho, Wo)
         out = np.zeros((N, O, P), dtype=xp.dtype)
         for k in range(K):
             out += cols[:, None, k, :] * w2[None, :, k, None]
-    else:
+    elif P == 1:
         # With a 1×1 output the patches are one [N, K] matrix: one GEMM
         # instead of N matrix-vector products.
-        out = cols.reshape(N, K) @ w2.T if P == 1 else np.matmul(w2, cols)
+        out = _im2col(xp, kH, kW, stride, Ho, Wo).reshape(N, K) @ w2.T
+    else:
+        out = np.empty((N, O, P), dtype=np.result_type(w2, xp))
+        for n0 in range(0, N, block):
+            n = slice(n0, n0 + block)
+            np.matmul(w2, _im2col(xp[n], kH, kW, stride, Ho, Wo), out=out[n])
     out = out.reshape(N, O, Ho, Wo)
     # a constant input (the image batch) gets no gradient: skip the GEMM and
     # col2im that would build one only for the sweep to drop it
@@ -549,19 +566,29 @@ def correlate2d(a, kernels, stride=1, padding=0):
 
     def backward(g):
         g3 = g.reshape(N, O, P)
-        cols = _im2col(xp, kH, kW, stride, Ho, Wo)
         # Per-sample GEMMs read the patches as they are but leave N partial
         # [O, K] kernel gradients to sum; one GEMM over the batch first
         # copies the patches to [N·P, K] and g to [O, N·P].  Take whichever
-        # moves fewer elements per sample.
-        if P * (K + O) > O * K:
-            gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-        else:
-            gw = np.tensordot(g3, cols, axes=((0, 2), (0, 2)))
+        # moves fewer elements per sample.  Only the per-sample GEMMs, and
+        # only with more than one output position, run block by block.
+        per_sample = P * (K + O) > O * K
+        step = block if per_sample and P > 1 else N
+        gws = np.empty((N, O, K), dtype=np.result_type(g3, xp)) if per_sample else None
+        gxp = np.zeros((N, C, Hp, Wp), dtype=np.result_type(w2, g3)) if input_grad else None
+        for n0 in range(0, N, step):
+            n = slice(n0, n0 + step)
+            cols = _im2col(xp[n], kH, kW, stride, Ho, Wo)
+            if per_sample:
+                np.matmul(g3[n], cols.transpose(0, 2, 1), out=gws[n])
+            else:
+                gw = np.tensordot(g3, cols, axes=((0, 2), (0, 2)))
+            if input_grad:
+                gcols = g3[n].reshape(-1, O) @ w2 if P == 1 else np.matmul(w2.T, g3[n])
+                _col2im(gcols, gxp[n], kH, kW, stride, Ho, Wo)
+        if per_sample:
+            gw = gws.sum(axis=0)
         if not input_grad:
             return (None, gw.reshape(w.shape))
-        gcols = g3.reshape(N, O) @ w2 if P == 1 else np.matmul(w2.T, g3)
-        gxp = _col2im(gcols, (N, C, Hp, Wp), kH, kW, stride, Ho, Wo)
         gx = gxp[:, :, padding : padding + H, padding : padding + W] if padding else gxp
         return (gx, gw.reshape(w.shape))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -577,15 +578,23 @@ GEMM_CASES = {
 }
 
 
-def _gemm_case(name, dtype, seed=0):
-    x_shape, w_shape, stride, padding = GEMM_CASES[name]
+# GEMM cases whose patches span several PATCH_BLOCK blocks of samples, the
+# last one ragged; too large for the loop oracle
+BLOCKED_CASES = {
+    "stem1_ragged_pad1": ((33, 16, 30, 30), (32, 16, 3, 3), 1, 1),
+    "stride2_pad1_ragged": ((5, 32, 40, 40), (16, 32, 3, 3), 2, 1),
+}
+
+
+def _gemm_case(name, dtype, seed=0, kernel_dtype=None):
+    x_shape, w_shape, stride, padding = {**GEMM_CASES, **BLOCKED_CASES}[name]
     rng = np.random.default_rng(seed)
     x = rng.normal(size=x_shape).astype(dtype)
-    w = rng.normal(size=w_shape).astype(dtype)
+    w = rng.normal(size=w_shape).astype(kernel_dtype or dtype)
     H, W = x_shape[-2:]
     Ho = (H + 2 * padding - w_shape[2]) // stride + 1
     Wo = (W + 2 * padding - w_shape[3]) // stride + 1
-    g = rng.normal(size=(x_shape[0], w_shape[0], Ho, Wo)).astype(dtype)
+    g = rng.normal(size=(x_shape[0], w_shape[0], Ho, Wo)).astype(np.result_type(x, w))
     work = x_shape[0] * w_shape[0] * Ho * Wo * int(np.prod(w_shape[1:]))
     assert work > ad.GEMM_WORK_THRESHOLD
     return x, w, g, stride, padding
@@ -643,6 +652,81 @@ def test_correlate2d_gives_a_constant_input_no_gradient():
     gx, gw = tracked._backward(g)
     assert gx_const is None and gx.shape == x.shape
     np.testing.assert_array_equal(gw_const, gw)
+
+
+def whole_batch_correlate2d(x, w, g, stride, padding):
+    """Output, input and kernel gradients from the whole batch's patch matrix
+    at once: one GEMM (or one [N, K] GEMM for a 1×1 output) forward, the
+    kernel gradient summed over all N per-sample products or contracted over
+    the batch in one step, and ``kernelsᵀ @ g`` added back by one col2im."""
+    N, C, H, W = x.shape
+    O, _, kH, kW = w.shape
+    Ho, Wo = g.shape[-2:]
+    K, P = C * kH * kW, Ho * Wo
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = ad._im2col(xp, kH, kW, stride, Ho, Wo)
+    w2, g3 = w.reshape(O, K), g.reshape(N, O, P)
+    out = cols.reshape(N, K) @ w2.T if P == 1 else np.matmul(w2, cols)
+    if P * (K + O) > O * K:
+        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+    else:
+        gw = np.tensordot(g3, cols, axes=((0, 2), (0, 2)))
+    gcols = g3.reshape(N, O) @ w2 if P == 1 else np.matmul(w2.T, g3)
+    gxp = np.zeros(xp.shape, dtype=gcols.dtype)
+    ad._col2im(gcols, gxp, kH, kW, stride, Ho, Wo)
+    return out.reshape(g.shape), gxp[:, :, padding : padding + H, padding : padding + W], gw.reshape(w.shape)
+
+
+def test_blocked_cases_span_several_ragged_blocks():
+    for x_shape, w_shape, stride, padding in BLOCKED_CASES.values():
+        N, C, H, W = x_shape
+        P = ((H + 2 * padding - w_shape[2]) // stride + 1) * ((W + 2 * padding - w_shape[3]) // stride + 1)
+        block = ad.PATCH_BLOCK // (C * w_shape[2] * w_shape[3] * P)
+        assert 1 <= block < N and N % block
+
+
+@pytest.mark.parametrize("input_grad", [True, False], ids=["tracked_input", "constant_input"])
+@pytest.mark.parametrize(
+    "dtypes",
+    [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    ids=["f32", "f64", "f32_input_f64_kernels"],
+)
+@pytest.mark.parametrize("name", sorted(BLOCKED_CASES) + sorted(GEMM_CASES))
+def test_gemm_path_bit_identical_to_whole_batch(name, dtypes, input_grad):
+    # The cases cover blocked per-sample GEMMs, the tensordot kernel gradient
+    # (overlapping_windows_small_output) and the 1×1 output (one_by_one_output).
+    # Mixed precision stays wide: no buffer narrows the result to the input's.
+    x, w, g, stride, padding = _gemm_case(name, dtypes[0], kernel_dtype=dtypes[1])
+    out = ad.correlate2d(Tensor(x, requires_grad=input_grad), Tensor(w, requires_grad=True), stride, padding)
+    gx, gw = out._backward(g)
+    want, want_gx, want_gw = whole_batch_correlate2d(x, w, g, stride, padding)
+    assert out.dtype == want.dtype == np.result_type(*dtypes)
+    np.testing.assert_array_equal(out.data, want, strict=True)
+    np.testing.assert_array_equal(gw, want_gw, strict=True)
+    if input_grad:
+        np.testing.assert_array_equal(gx, want_gx, strict=True)
+    else:
+        assert gx is None
+
+
+def test_correlate2d_never_holds_a_whole_batch_patch_matrix():
+    # The second stem conv's shapes at batch 32 in float32: its whole-batch
+    # patch matrix [32, 144, 784] is 14.4 MB, and the output it feeds 3.2 MB.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(32, 16, 30, 30)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(32, 32, 28, 28)).astype(np.float32)
+    whole = 32 * 144 * 784 * 4
+    tracemalloc.start()
+    try:
+        out = ad.correlate2d(x, w)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out._backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < whole and backward_peak < whole, (forward_peak, backward_peak)
 
 
 # ---------------------------------------------------------------------------

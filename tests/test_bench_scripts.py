@@ -54,7 +54,7 @@ def test_bench_conv_smoke(load_script, tmp_path):
     ] + [("pool0", "max_pool_window"), ("pool1", "max_pool_window")]
     for site in run["sites"]:
         for dt in ("float32", "float64"):
-            assert set(site[dt]) == {"fwd_ms", "bwd_ms"}
+            assert set(site[dt]) == {"fwd_ms", "bwd_ms", "fwd_peak_mb", "bwd_peak_mb"}
     for dt in ("float32", "float64"):
         assert set(run["totals"][dt]) == {"capsnet.correlate2d", "cnn.correlate2d", "cnn.max_pool_window"}
 
