@@ -37,10 +37,10 @@ NARROW = np.float32
 # Backward always uses im2col and col2im, whatever the size.  It rebuilds the
 # patches rather than keeping the forward's: the GEMM paths only ever hold
 # one block of them (below), and keeping them would hold whole-batch
-# matrices, 23.5 MB for the five capsnet sites per f32 step at batch 32,
-# until the sweep reached each call.  Rebuilding costs 0.1-5 ms a call
-# (the second stem conv's patches are the dearest), about 6-9 ms a step
-# (2-core Xeon, one BLAS thread).
+# matrices, 24.7 MB for the five capsnet sites per f32 step at batch 32,
+# until the sweep reached each call.  Rebuilding them block by block costs
+# 0.01-1.2 ms a call (the second stem conv's are the dearest), about 3 ms a
+# f32 step (2-core Xeon, one BLAS thread).
 GEMM_WORK_THRESHOLD = 1_000_000
 # Patch elements per block of samples on the GEMM paths (1 MiB in float32).
 # Each sample's GEMM is the same BLAS call as over the whole batch, so the
@@ -587,10 +587,9 @@ def correlate2d(a, kernels, stride=1, padding=0):
                 _col2im(gcols, gxp[n], kH, kW, stride, Ho, Wo)
         if per_sample:
             gw = gws.sum(axis=0)
-        if not input_grad:
-            return (None, gw.reshape(w.shape))
-        gx = gxp[:, :, padding : padding + H, padding : padding + W] if padding else gxp
-        return (gx, gw.reshape(w.shape))
+        if input_grad and padding:
+            gxp = gxp[:, :, padding : padding + H, padding : padding + W]
+        return (gxp, gw.reshape(w.shape))
 
     return _node(out, (a, kernels), backward)
 
