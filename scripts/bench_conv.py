@@ -14,8 +14,8 @@ gradients, backward one call of the node's backward closure with a fixed
 adjoint. Each time is the minimum of 15 calls after one warm-up call, with
 BLAS pinned to one thread. Each site's memory is the tracemalloc peak, in
 MB, of one more forward and one more backward call, made apart from the
-timed ones so that tracing does not slow them; the forward's counts the
-output and the closure's saved values it returns. The run (per-site times
+timed ones so that tracing does not slow them; the forward's includes the
+output node it returns. The run (per-site times
 and peaks, totals per model and function, and the environment: numpy
 version, BLAS configuration and
 threads, nproc) is appended to the list of runs of the commit it ran on

@@ -711,7 +711,7 @@ def test_gemm_path_bit_identical_to_whole_batch(name, dtypes, input_grad):
 
 def test_correlate2d_never_holds_a_whole_batch_patch_matrix():
     # The second stem conv's shapes at batch 32 in float32: its whole-batch
-    # patch matrix [32, 144, 784] is 14.4 MB, and the output it feeds 3.2 MB.
+    # patch matrix [32, 144, 784] is 14.4 MB, and its output 3.2 MB.
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(32, 16, 30, 30)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32), requires_grad=True)
