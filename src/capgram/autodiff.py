@@ -17,7 +17,15 @@ gradient with col2im.  Above the threshold both directions build the patch
 matrix for one block of about ``PATCH_BLOCK`` elements' worth of samples at
 a time, so no whole-batch patch matrix or patch gradient exists.
 ``max_pool_window`` takes each window's maximum over its patch rows and
-puts the adjoint back at that row.
+puts the adjoint back at that row, block by block too; only its argmax
+rows are kept whole, for the backward.
+
+Primitives never write into an array they did not allocate in the same
+call.  The one in-place writer is ``equivariant.ConvLayer``: it adds its
+bias and applies its ReLU inside the output buffer ``correlate2d`` has just
+allocated, which no node, view or caller holds yet, and its node takes over
+the correlate2d node's backward closure, which reads the input and the
+kernels but never the output.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ NARROW = np.float32
 # 0.01-1.2 ms a call (the second stem conv's are the dearest), about 3 ms a
 # f32 step (2-core Xeon, one BLAS thread).
 GEMM_WORK_THRESHOLD = 1_000_000
-# Patch elements per block of samples on the GEMM paths (1 MiB in float32).
+# Patch elements per block of samples on the GEMM paths and in max-pooling
+# (1 MiB in float32).
 # Each sample's GEMM is the same BLAS call as over the whole batch, so the
 # block size changes no output bit; it bounds the patches and patch
 # gradients alive at once, which at batch 32 would otherwise reach 14.4 MB
@@ -444,16 +453,27 @@ def max_pool_window(a, window, stride):
     Wo = (W - window) // stride + 1
     n_lead = int(np.prod(lead)) if lead else 1
     shape = (n_lead, 1, H, W)
-    cols = _im2col(a.data.reshape(shape), window, window, stride, Ho, Wo)
+    x = a.data.reshape(shape)
+    P = Ho * Wo
+    block = max(1, PATCH_BLOCK // (window * window * P))  # samples per patch block
     # the backward keeps only the argmax rows, not the patch matrix
-    arg = cols.argmax(axis=1)[:, None]
-    out = np.take_along_axis(cols, arg, axis=1).reshape(tuple(lead) + (Ho, Wo))
+    arg = np.empty((n_lead, 1, P), dtype=np.intp)
+    out = np.empty((n_lead, 1, P), dtype=x.dtype)
+    for n0 in range(0, n_lead, block):
+        n = slice(n0, n0 + block)
+        cols = _im2col(x[n], window, window, stride, Ho, Wo)
+        np.argmax(cols, axis=1, out=arg[n, 0])
+        out[n] = np.take_along_axis(cols, arg[n], axis=1)
+    out = out.reshape(tuple(lead) + (Ho, Wo))
 
     def backward(g):
-        gcols = np.zeros((n_lead, window * window, Ho * Wo), dtype=a.data.dtype)
-        np.put_along_axis(gcols, arg, g.reshape(n_lead, 1, Ho * Wo), axis=1)
+        g3 = g.reshape(n_lead, 1, P)
         gx = np.zeros(shape, dtype=a.data.dtype)
-        _col2im(gcols, gx, window, window, stride, Ho, Wo)
+        for n0 in range(0, n_lead, block):
+            n = slice(n0, n0 + block)
+            gcols = np.zeros((g3[n].shape[0], window * window, P), dtype=gx.dtype)
+            np.put_along_axis(gcols, arg[n], g3[n], axis=1)
+            _col2im(gcols, gx[n], window, window, stride, Ho, Wo)
         return (gx.reshape(a.data.shape),)
 
     return _node(out, (a,), backward)
@@ -573,20 +593,25 @@ def correlate2d(a, kernels, stride=1, padding=0):
         # only with more than one output position, run block by block.
         per_sample = P * (K + O) > O * K
         step = block if per_sample and P > 1 else N
-        gws = np.empty((N, O, K), dtype=np.result_type(g3, xp)) if per_sample else None
+        # Row 0 carries the sum over earlier blocks and rows 1.. this block's
+        # per-sample products: summing them over axis 0 adds the samples in
+        # order onto that sum, the running sum one sum(axis=0) over all N
+        # would make, bit for bit, without an [N, O, K] stack.
+        gws = np.empty((step + 1, O, K), dtype=np.result_type(g3, xp)) if per_sample else None
         gxp = np.zeros((N, C, Hp, Wp), dtype=np.result_type(w2, g3)) if input_grad else None
         for n0 in range(0, N, step):
             n = slice(n0, n0 + step)
             cols = _im2col(xp[n], kH, kW, stride, Ho, Wo)
             if per_sample:
-                np.matmul(g3[n], cols.transpose(0, 2, 1), out=gws[n])
+                rows = gws[: 1 + cols.shape[0]]
+                np.matmul(g3[n], cols.transpose(0, 2, 1), out=rows[1:])
+                gw = (rows if n0 else rows[1:]).sum(axis=0)
+                rows[0] = gw
             else:
                 gw = np.tensordot(g3, cols, axes=((0, 2), (0, 2)))
             if input_grad:
                 gcols = g3[n].reshape(-1, O) @ w2 if P == 1 else np.matmul(w2.T, g3[n])
                 _col2im(gcols, gxp[n], kH, kW, stride, Ho, Wo)
-        if per_sample:
-            gw = gws.sum(axis=0)
         if input_grad and padding:
             gxp = gxp[:, :, padding : padding + H, padding : padding + W]
         return (gxp, gw.reshape(w.shape))

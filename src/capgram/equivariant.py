@@ -6,6 +6,10 @@ Correlation layers and two-step max-pooling (window maximum over a coset,
 then subsampling onto the stride subgroup) come with a test surface that
 measures translation equivariance on the interior region unaffected by
 zero padding.
+
+A conv layer is one graph node whose only saved activation is its output:
+it adds its bias and applies its ReLU in place, in the buffer
+``correlate2d`` allocated for that call, which nothing else holds.
 """
 
 from __future__ import annotations
@@ -19,7 +23,19 @@ from .autodiff import Tensor
 class ConvLayer:
     """Correlation with a kernel bank, optional per-channel bias, then an
     optional pointwise activation. The bias is constant over the grid, so it
-    leaves translation equivariance intact."""
+    leaves translation equivariance intact.
+
+    With a bias or a ReLU the layer is one graph node whose only saved
+    activation is its output.  It adds the bias and applies the ReLU in
+    place, in the buffer ``correlate2d`` has just allocated for its output:
+    no other node, view or caller holds that buffer, so nothing else sees it
+    change.  The node takes over the correlate2d node's backward closure: it
+    masks the adjoint by ``out > 0``, which holds exactly where the
+    pre-activation is positive (``fmax`` maps NaN to 0), reduces the bias
+    gradient as ``ad.add`` would, and hands the masked adjoint to the
+    correlation's closure.  Outputs and gradients are bit-identical to
+    ``relu(add(correlate2d(x, k), reshape(bias, (O, 1, 1))))``.
+    """
 
     def __init__(self, kernels, stride=1, padding=0, activation="none", bias=None):
         self.kernels = kernels if isinstance(kernels, Tensor) else Tensor(kernels)
@@ -31,12 +47,32 @@ class ConvLayer:
         self.bias = bias
 
     def __call__(self, x):
-        out = ad.correlate2d(x, self.kernels, self.stride, self.padding)
-        if self.bias is not None:
-            out = ad.add(out, ad.reshape(self.bias, (self.bias.shape[0], 1, 1)))
-        if self.activation == "relu":
-            out = ad.relu(out)
-        return out
+        conv = ad.correlate2d(x, self.kernels, self.stride, self.padding)
+        bias, relu = self.bias, self.activation == "relu"
+        if bias is None and not relu:
+            return conv
+        out = conv.data
+        if bias is not None:
+            # a bias wider than the correlation widens the output, as add does
+            out = out.astype(np.result_type(out, bias.data), copy=False)
+            out += bias.data.reshape(-1, 1, 1)
+        if relu:
+            # as ad.relu: fmax sends NaN to 0, and adding +0.0 turns -0.0 into +0.0
+            zero = np.zeros((), out.dtype)
+            np.fmax(out, zero, out=out)
+            out += zero
+        conv_backward = conv._backward
+        parents = conv._parents if bias is None else conv._parents + (bias,)
+
+        def backward(g):
+            if relu:
+                g = g * (out > 0)
+            grads = () if conv_backward is None else conv_backward(g)
+            if bias is not None:
+                grads += (ad._unbroadcast(g, (out.shape[1], 1, 1)).reshape(bias.shape),)
+            return grads
+
+        return ad._node(out, parents, backward)
 
 
 class MaxPoolLayer:

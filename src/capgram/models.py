@@ -181,19 +181,24 @@ class CapsNet(_Model):
             )
 
     def forward(self, batch):
+        # Each activation is dropped once the next layer has consumed it, so
+        # under no_grad only the layer in flight is alive; in training the
+        # tape keeps what the backward needs anyway.
         cfg = self.cfg
         x = self._run_stack("stem", cfg.stem, _check_batch(batch, cfg, self.dtype))
-        prim = self._conv_layer("primary", x, cfg.primary_stride)
-        B, _, Hp, Wp = prim.shape
-        caps = ad.reshape(prim, (B, cfg.primary_types, cfg.primary_dim, Hp, Wp))
-        caps = rt.squash(caps, axis=-3)
+        x = self._conv_layer("primary", x, cfg.primary_stride)
+        B, _, Hp, Wp = x.shape
+        caps = rt.squash(ad.reshape(x, (B, cfg.primary_types, cfg.primary_dim, Hp, Wp)), axis=-3)
+        del x
         traces = []
         for n, spec in enumerate(cfg.routed):
             S = rt.predict(caps, self.params[f"routed.{n}.filters"], spec.stride)
+            del caps
             if cfg.routing_mode == "equal":
                 caps, trace = rt.equal_route_traced(S)
             else:
                 caps, trace = rt.dynamic_route(S, ROUTING_ITERS)
+            del S
             traces.append(trace)
         # class capsules are [B, K, D, 1, 1]: spatial mean is trivial by
         # construction, then the vector norm is the class activation

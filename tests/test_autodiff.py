@@ -317,6 +317,56 @@ def test_max_pool_grad_placement_overlapping_windows(window, stride):
     np.testing.assert_allclose(got, naive_max_pool_grad(x, g, window, stride), rtol=1e-12, atol=0)
 
 
+# max-pool shapes whose windows span several PATCH_BLOCK blocks of samples,
+# the last one ragged: the CNN's first pool, and overlapping windows over a
+# 3-D input
+BLOCKED_POOLS = {
+    "pool0": ((32, 32, 28, 28), 2, 2),
+    "overlapping_3d": ((2, 150, 23, 23), 2, 1),
+}
+
+
+def whole_batch_max_pool(x, g, window, stride):
+    """Output and input gradient from the whole batch's window matrix at
+    once: argmax over its rows, the adjoint put at that row, one col2im."""
+    *lead, H, W = x.shape
+    Ho, Wo = g.shape[-2:]
+    xs = x.reshape(-1, 1, H, W)
+    cols = ad._im2col(xs, window, window, stride, Ho, Wo)
+    arg = cols.argmax(axis=1)[:, None]
+    out = np.take_along_axis(cols, arg, axis=1)
+    gcols = np.zeros_like(cols)
+    np.put_along_axis(gcols, arg, g.reshape(xs.shape[0], 1, Ho * Wo), axis=1)
+    gx = np.zeros_like(xs)
+    ad._col2im(gcols, gx, window, window, stride, Ho, Wo)
+    return out.reshape(g.shape), gx.reshape(x.shape)
+
+
+def test_blocked_pools_span_several_ragged_blocks():
+    for shape, window, stride in BLOCKED_POOLS.values():
+        *lead, H, W = shape
+        P = ((H - window) // stride + 1) * ((W - window) // stride + 1)
+        block = ad.PATCH_BLOCK // (window * window * P)
+        n = int(np.prod(lead))
+        assert 1 <= block < n and n % block
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(BLOCKED_POOLS))
+def test_max_pool_blocks_bit_identical_to_whole_batch(name, dtype):
+    # small integers tie within most windows; ties go to the first maximum
+    shape, window, stride = BLOCKED_POOLS[name]
+    rng = np.random.default_rng(16)
+    x = rng.integers(0, 3, size=shape).astype(dtype)
+    Ho, Wo = (shape[-2] - window) // stride + 1, (shape[-1] - window) // stride + 1
+    g = rng.normal(size=shape[:-2] + (Ho, Wo)).astype(dtype)
+    out = ad.max_pool_window(Tensor(x, requires_grad=True), window, stride)
+    (gx,) = out._backward(g)
+    want, want_gx = whole_batch_max_pool(x, g, window, stride)
+    np.testing.assert_array_equal(out.data, want, strict=True)
+    np.testing.assert_array_equal(gx, want_gx, strict=True)
+
+
 def test_max_pool_window_too_large():
     with pytest.raises(ValueError, match="exceeds spatial extents"):
         ad.max_pool_window(Tensor(np.zeros((2, 3, 3))), 4, 1)
@@ -583,6 +633,8 @@ GEMM_CASES = {
 BLOCKED_CASES = {
     "stem1_ragged_pad1": ((33, 16, 30, 30), (32, 16, 3, 3), 1, 1),
     "stride2_pad1_ragged": ((5, 32, 40, 40), (16, 32, 3, 3), 2, 1),
+    "primary": ((32, 32, 28, 28), (64, 32, 3, 3), 2, 0),
+    "predict0": ((256, 8, 13, 13), (64, 8, 3, 3), 2, 0),
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capgram import autodiff as ad
 from capgram import equivariant as eq
 from capgram.autodiff import Tensor
 from tests.test_autodiff import naive_correlate2d, naive_max_pool
@@ -122,3 +123,99 @@ def test_equivariance_sweep_stride1(shift):
     layer = eq.ConvLayer(Tensor(rng.normal(size=(4, 3, 3, 3))), stride=1, activation="relu")
     dev = eq.check_translation_equivariance(layer, _rand_field(rng, c=3, h=10, w=10), shift)
     assert dev < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the fused conv node against the composition it replaces
+
+# Pre-activations written into the correlation's output: -0.0, 0.0 and NaN
+# (all three map to 0 under ReLU and get no adjoint) beside ordinary values.
+SPECIAL = (0.0, np.nan, -1.5, 2.0)
+
+
+def _composed(x, k, bias, stride, padding, relu):
+    out = ad.correlate2d(x, k, stride, padding)
+    if bias is not None:
+        out = ad.add(out, ad.reshape(bias, (bias.shape[0], 1, 1)))
+    return ad.relu(out) if relu else out
+
+
+@pytest.fixture
+def special_preactivations(monkeypatch):
+    """Overwrite the first and the last plane of every correlation's output,
+    in place as the fused node itself writes: SPECIAL, then -0.0 to the end.
+    numpy's fmax keeps -0.0 at some positions of a float64 buffer, such as
+    those near its end, and turns it into 0.0 at others."""
+    real = ad.correlate2d
+
+    def correlate2d(*args):
+        out = real(*args)
+        for plane in (out.data[0, 0], out.data[-1, -1]):
+            plane[...] = -0.0
+            plane.reshape(-1)[: len(SPECIAL)] = SPECIAL
+        return out
+
+    monkeypatch.setattr(ad, "correlate2d", correlate2d)
+
+
+@pytest.mark.usefixtures("special_preactivations")
+@pytest.mark.parametrize(
+    "dtype, bias_dtype",
+    [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+    ids=["f32", "f64", "f32_f64_bias"],
+)
+@pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("input_grad", [True, False], ids=["tracked_input", "constant_input"])
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+@pytest.mark.parametrize("activation", ["relu", "none"])
+def test_conv_layer_node_bit_identical_to_composition(
+    activation, with_bias, input_grad, stride, padding, dtype, bias_dtype
+):
+    rng = np.random.default_rng(11)
+    x_data = rng.normal(size=(3, 2, 7, 7)).astype(dtype)
+    k_data = rng.normal(size=(4, 2, 3, 3)).astype(dtype)
+    # the first and last channels' bias is -0.0, so that the signed zeros
+    # reach the ReLU unchanged
+    b_data = np.array([-0.0, *rng.normal(size=2), -0.0], dtype=bias_dtype)
+    relu = activation == "relu"
+    results = []
+    for fused in (True, False):
+        x = Tensor(x_data, requires_grad=input_grad)
+        k = Tensor(k_data, requires_grad=True)
+        b = Tensor(b_data, requires_grad=True) if with_bias else None
+        if fused:
+            out = eq.ConvLayer(k, stride, padding, activation, bias=b)(x)
+        else:
+            out = _composed(x, k, b, stride, padding, relu)
+        g = np.random.default_rng(12).normal(size=out.shape).astype(dtype)
+        ad.reduce_sum(ad.mul(out, Tensor(g))).backward()
+        results.append((out.data, x.grad, k.grad, None if b is None else b.grad))
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+    out_data = results[0][0]
+    assert np.isnan(out_data).any() != relu
+    if not input_grad:
+        assert results[0][1] is None
+
+
+def test_conv_layer_is_one_node_over_its_parameters():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    out = eq.ConvLayer(k, activation="relu", bias=b)(x)
+    assert out._parents == (x, k, b)
+
+
+def test_conv_layer_under_no_grad_is_untracked():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    with ad.no_grad():
+        out = eq.ConvLayer(k, activation="relu", bias=b)(x)
+    assert out._backward is None and out._parents == ()
