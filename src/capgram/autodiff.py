@@ -5,20 +5,22 @@ tolerances to; narrow precision (float32) is available for training speed.
 Primitives fix their floating-point evaluation order, so identical inputs
 produce bit-identical outputs on a given platform.
 
-Both spatial primitives cut their input into windows one way, as rows of
-a batch-major im2col patch matrix [n, C·kH·kW, Ho·Wo] (Chellapilla et al.,
-2006), and add window gradients back one way, with its adjoint col2im, into
-an input gradient the caller has zeroed.  ``correlate2d``'s forward reads
-the patch matrix one row at a time at or below ``GEMM_WORK_THRESHOLD`` and
-multiplies the flattened kernels into it above; the backward always rebuilds
-the patches, contracts them with the adjoint for the kernel gradient, and,
-unless the input is a constant, adds ``kernelsᵀ @ g`` back into the input
-gradient with col2im.  Above the threshold both directions build the patch
-matrix for one block of about ``PATCH_BLOCK`` elements' worth of samples at
-a time, so no whole-batch patch matrix or patch gradient exists.
-``max_pool_window`` takes each window's maximum over its patch rows and
-puts the adjoint back at that row, block by block too; only its argmax
-rows are kept whole, for the backward.
+``correlate2d`` cuts its input into windows as rows of a batch-major im2col
+patch matrix [n, C·kH·kW, Ho·Wo] (Chellapilla et al., 2006), and both
+spatial primitives add window gradients back one way, with its adjoint
+col2im, into an input gradient the caller has zeroed.  ``correlate2d``'s
+forward sums all patch-row products in one ordered reduction at or below
+``GEMM_WORK_THRESHOLD`` and multiplies the flattened kernels into the
+patches above; the backward always rebuilds the patches, contracts them
+with the adjoint for the kernel gradient, and, unless the input is a
+constant, adds ``kernelsᵀ @ g`` back into the input gradient with col2im.
+Above the threshold both directions build the patch matrix for one block
+of about ``PATCH_BLOCK`` elements' worth of samples at a time, so no
+whole-batch patch matrix or patch gradient exists.  ``max_pool_window``
+reads no patch matrix: it compares the window's strided offset views in
+turn and keeps each window's winning offset, one byte per output; its
+backward builds each block's window gradients from those offsets and adds
+them back with col2im.
 
 Primitives never write into an array they did not allocate in the same
 call.  The one in-place writer is ``equivariant.ConvLayer``: it adds its
@@ -39,9 +41,12 @@ WIDE = np.float64
 NARROW = np.float32
 
 # correlate2d's forward reads the im2col patch matrix either way and picks
-# its evaluation by work count: up to this many multiply-accumulates it adds
-# one patch row at a time, an accumulation order the loop-oracle tests pin
+# its evaluation by work count.  Up to this many multiply-accumulates it
+# takes the loop path: every product in one [K, N·O·P] array, summed over K
+# in row order from +0, so each output cell is bit for bit what a scalar
+# (c, u, v) loop gives for finite inputs, an order the loop-oracle tests pin
 # exactly (all of their inputs are small); above it, one GEMM per sample.
+# All three branches compute and return np.result_type(input, kernels).
 # Backward always uses im2col and col2im, whatever the size.  It rebuilds the
 # patches rather than keeping the forward's: the GEMM paths only ever hold
 # one block of them (below), and keeping them would hold whole-batch
@@ -50,8 +55,8 @@ NARROW = np.float32
 # 0.01-1.2 ms a call (the second stem conv's are the dearest), about 3 ms a
 # f32 step (2-core Xeon, one BLAS thread).
 GEMM_WORK_THRESHOLD = 1_000_000
-# Patch elements per block of samples on the GEMM paths and in max-pooling
-# (1 MiB in float32).
+# Patch elements per block of samples on the GEMM paths, and window
+# elements per block in max-pooling (1 MiB in float32).
 # Each sample's GEMM is the same BLAS call as over the whole batch, so the
 # block size changes no output bit; it bounds the patches and patch
 # gradients alive at once, which at batch 32 would otherwise reach 14.4 MB
@@ -434,10 +439,13 @@ def l2_norm(a, axis, epsilon=1e-8, keepdims=False):
 def max_pool_window(a, window, stride):
     """Window maximum over the trailing two axes, then stride subsampling.
 
-    Each window is one column of ``_im2col`` rows over the input viewed as
-    [n, 1, H, W]; the maximum is taken over those rows.  Ties route the
-    gradient to the first (row-major) maximum, which keeps backward
-    deterministic.
+    Each window's maximum is its first row-major maximum, the one ``argmax``
+    picks: a later window offset wins only if it is strictly greater, or if
+    it is NaN and the best so far is not.  The output holds the winner's
+    own bits, so ±0 ties keep the first zero's sign.  The backward routes
+    each adjoint to its window's winner, exact +0.0 to every other offset,
+    and adds those window gradients back with col2im, so ties and
+    overlapping windows get a deterministic gradient.
     """
     a = _as_tensor(a)
     if a.data.ndim < 2:
@@ -452,27 +460,43 @@ def max_pool_window(a, window, stride):
     Ho = (H - window) // stride + 1
     Wo = (W - window) // stride + 1
     n_lead = int(np.prod(lead)) if lead else 1
-    shape = (n_lead, 1, H, W)
-    x = a.data.reshape(shape)
-    P = Ho * Wo
-    block = max(1, PATCH_BLOCK // (window * window * P))  # samples per patch block
-    # the backward keeps only the argmax rows, not the patch matrix
-    arg = np.empty((n_lead, 1, P), dtype=np.intp)
-    out = np.empty((n_lead, 1, P), dtype=x.dtype)
+    x = a.data.reshape(n_lead, H, W)
+    R = window * window
+    block = max(1, PATCH_BLOCK // (R * Ho * Wo))  # samples per block
+    # the [n, Ho, Wo] view of each window offset r = u·window + v
+    views = [
+        x[:, u : u + stride * Ho : stride, v : v + stride * Wo : stride]
+        for u in range(window)
+        for v in range(window)
+    ]
+    # Winners are picked bit for bit in same-width integer views times a 0/1
+    # mask: where, copyto and putmask cost 20-40 times a contiguous compare.
+    bits = np.dtype(f"i{x.itemsize}")
+    out = np.empty((n_lead, Ho, Wo), dtype=x.dtype)
+    # the backward keeps only each window's winning offset
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(R - 1))
     for n0 in range(0, n_lead, block):
         n = slice(n0, n0 + block)
-        cols = _im2col(x[n], window, window, stride, Ho, Wo)
-        np.argmax(cols, axis=1, out=arg[n, 0])
-        out[n] = np.take_along_axis(cols, arg[n], axis=1)
+        best, won = out[n], arg[n]
+        best[...] = views[0][n]
+        best_bits = best.view(bits)
+        for r in range(1, R):
+            cand = views[r][n]
+            # r wins where it is greater, or NaN over a best that is not
+            take = (best == best) > (cand <= best)
+            best_bits ^= (cand.view(bits) ^ best_bits) * take
+            np.maximum(won, np.multiply(take, r, dtype=won.dtype), out=won)
     out = out.reshape(tuple(lead) + (Ho, Wo))
 
     def backward(g):
-        g3 = g.reshape(n_lead, 1, P)
-        gx = np.zeros(shape, dtype=a.data.dtype)
+        g = np.ascontiguousarray(g.reshape(n_lead, 1, Ho * Wo), dtype=x.dtype).view(bits)
+        gx = np.zeros((n_lead, 1, H, W), dtype=x.dtype)
+        offsets = np.arange(R, dtype=arg.dtype)[:, None]
         for n0 in range(0, n_lead, block):
             n = slice(n0, n0 + block)
-            gcols = np.zeros((g3[n].shape[0], window * window, P), dtype=gx.dtype)
-            np.put_along_axis(gcols, arg[n], g3[n], axis=1)
+            # each window's adjoint at its winning offset, +0.0 at the others
+            hit = arg[n].reshape(-1, 1, Ho * Wo) == offsets
+            gcols = np.multiply(g[n], hit, dtype=bits).view(x.dtype)
             _col2im(gcols, gx[n], window, window, stride, Ho, Wo)
         return (gx.reshape(a.data.shape),)
 
@@ -564,12 +588,18 @@ def correlate2d(a, kernels, stride=1, padding=0):
     w2 = w.reshape(O, K)
     block = max(1, PATCH_BLOCK // (K * P))  # samples per patch block
     if N * O * P * K <= GEMM_WORK_THRESHOLD:
-        # Row k = c·kH·kW + u·kW + v in row order: per output cell the
-        # multiplies and adds of a scalar (c, u, v) loop, bit for bit.
-        cols = _im2col(xp, kH, kW, stride, Ho, Wo)
-        out = np.zeros((N, O, P), dtype=xp.dtype)
-        for k in range(K):
-            out += cols[:, None, k, :] * w2[None, :, k, None]
+        # All products in one C-ordered [K, M] array (M = N·O·P), row k =
+        # c·kH·kW + u·kW + v, then one sum over k from +0: numpy adds the rows
+        # of such an array in order, so each output cell gets the multiplies
+        # and adds of a scalar (c, u, v) loop, bit for bit.  It would sum a
+        # lone column pairwise, so M = 1 gets a zero column; multiplying into
+        # the buffer keeps K outermost (a plain * of these views puts it
+        # innermost, which sums pairwise too).
+        pad = int(N * O * P == 1)
+        prod = np.zeros((K, N, O, P + pad), dtype=np.result_type(w2, xp))
+        cols = _im2col(xp, kH, kW, stride, Ho, Wo).transpose(1, 0, 2)
+        np.multiply(cols[:, :, None, :], w2.T[:, None, :, None], out=prod[..., :P])
+        out = prod.reshape(K, -1).sum(axis=0, initial=0).reshape(N, O, P + pad)[..., :P]
     elif P == 1:
         # With a 1×1 output the patches are one [N, K] matrix: one GEMM
         # instead of N matrix-vector products.

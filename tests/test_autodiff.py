@@ -134,6 +134,127 @@ def test_correlate_shape_errors():
         ad.correlate2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 2, 2))))
 
 
+def assert_same_bytes(got, want):
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert got.tobytes() == want.tobytes()
+
+
+def k_step_loop_correlate2d(x, w, stride, padding):
+    """The loop path as a K-step loop: one im2col patch row of products
+    added per step, onto a +0 start, in the inputs' result dtype."""
+    N, _, H, W = x.shape
+    O, C, kH, kW = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    Ho = (H + 2 * padding - kH) // stride + 1
+    Wo = (W + 2 * padding - kW) // stride + 1
+    cols = ad._im2col(xp, kH, kW, stride, Ho, Wo)
+    w2 = w.reshape(O, -1)
+    out = np.zeros((N, O, Ho * Wo), dtype=np.result_type(x, w))
+    for k in range(w2.shape[1]):
+        out += cols[:, None, k, :] * w2[None, :, k, None]
+    return out.reshape(N, O, Ho, Wo)
+
+
+# (input shape, kernel shape, stride, padding); each at or below
+# GEMM_WORK_THRESHOLD, so on the loop path
+LOOP_CASES = {
+    "cnn_head": ((32, 64, 4, 4), (2, 64, 4, 4), 1, 0),
+    "predict1_batch1": ((8, 8, 6, 6), (32, 8, 6, 6), 2, 0),
+    "stem0_batch1_pad1": ((1, 1, 32, 32), (16, 1, 3, 3), 1, 1),
+    "one_cell_k300": ((1, 12, 5, 5), (1, 12, 5, 5), 1, 0),
+    "one_cell_k1": ((1, 1, 1, 1), (1, 1, 1, 1), 1, 0),
+}
+
+
+def _loop_case(name, dtype, seed=0):
+    x_shape, w_shape, stride, padding = LOOP_CASES[name]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=w_shape).astype(dtype)
+    out_cells = x_shape[0] * w_shape[0] * ((x_shape[2] + 2 * padding - w_shape[2]) // stride + 1) * (
+        (x_shape[3] + 2 * padding - w_shape[3]) // stride + 1
+    )
+    assert out_cells * int(np.prod(w_shape[1:])) <= ad.GEMM_WORK_THRESHOLD
+    return x, w, stride, padding
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(LOOP_CASES))
+def test_loop_path_bit_identical_to_k_step_loop(name, dtype):
+    x, w, stride, padding = _loop_case(name, dtype)
+    got = ad.correlate2d(Tensor(x), Tensor(w), stride, padding).data
+    assert_same_bytes(got, k_step_loop_correlate2d(x, w, stride, padding))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loop_path_all_negative_zero_products_sum_to_positive_zero(dtype):
+    # every product is -0.0: a sum that started from its first product
+    # would keep -0.0, the loop's +0 start gives +0.0
+    for name in ("one_cell_k300", "one_cell_k1", "cnn_head"):
+        x, w, stride, padding = _loop_case(name, dtype)
+        x = np.full_like(x, -0.0)
+        w = np.abs(w)
+        got = ad.correlate2d(Tensor(x), Tensor(w), stride, padding).data
+        want = k_step_loop_correlate2d(x, w, stride, padding)
+        assert_same_bytes(got, want)
+        assert not np.signbit(got).any()
+
+
+def test_loop_path_random_shapes_bit_identical_to_k_step_loop():
+    # finite inputs over random shapes, strides and paddings, many with a
+    # single output cell (N = O = P = 1)
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        dtype = (np.float32, np.float64)[trial % 2]
+        N, C, O = (int(v) for v in rng.integers(1, 4, size=3))
+        kH, kW = (int(v) for v in rng.integers(1, 6, size=2))
+        stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+        if trial % 3 == 0:
+            N, O, stride, padding = 1, 1, 1, 0
+            H, W = kH, kW
+        else:
+            H = int(rng.integers(max(1, kH - 2 * padding), 9))
+            W = int(rng.integers(max(1, kW - 2 * padding), 9))
+        x = (rng.normal(size=(N, C, H, W)) * 10.0 ** rng.integers(-3, 4, size=(N, C, H, W))).astype(dtype)
+        w = rng.normal(size=(O, C, kH, kW)).astype(dtype)
+        got = ad.correlate2d(Tensor(x), Tensor(w), stride, padding).data
+        assert_same_bytes(got, k_step_loop_correlate2d(x, w, stride, padding))
+
+
+def test_loop_path_special_values_keep_nan_positions_and_other_bytes():
+    # inf - inf inside the sum may give a NaN of either sign; which cells
+    # are NaN, and every other cell's bytes, match the K-step loop
+    rng = np.random.default_rng(22)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1.0, -1.0, 2.0])
+    with np.errstate(all="ignore"):
+        for trial in range(200):
+            dtype = (np.float32, np.float64)[trial % 2]
+            x = rng.choice(special, size=(2, 3, 5, 5)).astype(dtype)
+            w = rng.choice(special, size=(2, 3, 3, 3)).astype(dtype)
+            got = ad.correlate2d(Tensor(x), Tensor(w), 1, 1).data
+            want = k_step_loop_correlate2d(x, w, 1, 1)
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_every_correlate2d_branch_returns_the_result_dtype():
+    # f32 input with f64 kernels computes and returns f64 on the loop path,
+    # as on both GEMM branches, bit-identical to the all-f64 call
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(8, 8, 6, 6)).astype(np.float32)
+    shapes = {"loop": (32, 8, 6, 6), "one_by_one_gemm": (512, 8, 6, 6), "gemm": (512, 8, 3, 3)}
+    for name, w_shape in shapes.items():
+        w = rng.normal(size=w_shape)
+        xt = Tensor(x, requires_grad=True)
+        out = ad.correlate2d(xt, Tensor(w, requires_grad=True), 2)
+        work = out.data.size * int(np.prod(w_shape[1:]))
+        assert (work <= ad.GEMM_WORK_THRESHOLD) == (name == "loop")
+        assert out.dtype == np.float64, name
+        wide = ad.correlate2d(Tensor(x.astype(np.float64)), Tensor(w), 2).data
+        assert_same_bytes(out.data, wide)
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
@@ -365,6 +486,80 @@ def test_max_pool_blocks_bit_identical_to_whole_batch(name, dtype):
     want, want_gx = whole_batch_max_pool(x, g, window, stride)
     np.testing.assert_array_equal(out.data, want, strict=True)
     np.testing.assert_array_equal(gx, want_gx, strict=True)
+
+
+# (input shape, window, stride): 2-, 3- and 4-D inputs; col2im adds one
+# plane per window offset where the offsets are at most the outputs, else
+# one window per output ("overlap_4_on_5x7": 16 offsets, 8 outputs)
+SPECIAL_POOLS = {
+    "2d_disjoint": ((6, 8), 2, 2),
+    "3d_overlap_stride1": ((3, 7, 6), 2, 1),
+    "3d_overlap_4_on_5x7": ((3, 5, 7), 4, 1),
+    "3d_one_output_column": ((4, 6, 3), 3, 2),
+    "4d_overlap_stride2": ((2, 3, 7, 9), 3, 2),
+    "4d_whole_window": ((2, 2, 3, 3), 3, 1),
+}
+POOL_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(SPECIAL_POOLS))
+def test_max_pool_special_values_bit_identical_to_whole_batch(name, dtype):
+    # NaN, ±inf and ±0 in inputs and adjoints: the first NaN wins a window,
+    # ±0 ties keep the first zero's bits, and the adjoint's bits land there
+    shape, window, stride = SPECIAL_POOLS[name]
+    rng = np.random.default_rng(17)
+    Ho, Wo = (shape[-2] - window) // stride + 1, (shape[-1] - window) // stride + 1
+    with np.errstate(all="ignore"):
+        for _ in range(25):
+            x = rng.choice(POOL_SPECIALS, size=shape).astype(dtype)
+            g = rng.choice(POOL_SPECIALS, size=shape[:-2] + (Ho, Wo)).astype(dtype)
+            out = ad.max_pool_window(Tensor(x, requires_grad=True), window, stride)
+            (gx,) = out._backward(g)
+            want, want_gx = whole_batch_max_pool(x, g, window, stride)
+            assert_same_bytes(out.data, want)
+            assert_same_bytes(gx, want_gx)
+
+
+def test_max_pool_random_shapes_bit_identical_to_whole_batch():
+    rng = np.random.default_rng(18)
+    with np.errstate(all="ignore"):
+        for trial in range(300):
+            dtype = (np.float32, np.float64)[trial % 2]
+            lead = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+            H, W = (int(v) for v in rng.integers(1, 9, size=2))
+            window = int(rng.integers(1, min(H, W) + 1))
+            stride = int(rng.integers(1, 4))
+            Ho, Wo = (H - window) // stride + 1, (W - window) // stride + 1
+            palette = POOL_SPECIALS if trial % 3 else np.arange(-2.0, 3.0)
+            x = rng.choice(palette, size=lead + (H, W)).astype(dtype)
+            g = rng.normal(size=lead + (Ho, Wo)).astype(dtype)
+            out = ad.max_pool_window(Tensor(x, requires_grad=True), window, stride)
+            (gx,) = out._backward(g)
+            want, want_gx = whole_batch_max_pool(x, g, window, stride)
+            assert_same_bytes(out.data, want)
+            assert_same_bytes(gx, want_gx)
+
+
+def test_max_pool_never_holds_whole_batch_window_temporaries():
+    # The CNN's first pool at batch 32 in float32.  Blocked, the forward
+    # peaks at 2.0 times its output and the backward at 1.75 times the
+    # input gradient; over the whole batch at once they reach 2.5 and 2.28.
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(32, 32, 28, 28)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(32, 32, 14, 14)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = ad.max_pool_window(x, 2, 2)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 2.25 * out.data.nbytes, forward_peak
+    assert backward_peak < 2 * x.data.nbytes, backward_peak
 
 
 def test_max_pool_window_too_large():

@@ -260,6 +260,25 @@ def test_no_grad_forward_holds_only_the_layer_in_flight():
     assert peak < 18 * 2**20
 
 
+def test_cnn_no_grad_forward_peak_stays_below_blocked_bound():
+    # f32 batch 64: 10.5 MB here, where the peak is the second conv's input
+    # and output, and 12.7 MB when max-pooling argmaxed blocks of im2col
+    # patches and kept the winners as intp
+    model = md.CNN(md.CNNConfig(), 7, np.float32)
+    images = Tensor(np.random.default_rng(0).random((64, 1, 32, 32)).astype(np.float32))
+    with ad.no_grad():
+        model.forward(images)  # warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.forward(images)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < 13.5 * 2**20
+
+
 def test_backward_peak_stays_near_the_forward_tape(step_memory):
     # with the tape kept until the sweep returns, the peak is 2.10 times it
     live, peak, _ = step_memory
