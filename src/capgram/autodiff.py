@@ -17,10 +17,10 @@ constant, adds ``kernelsᵀ @ g`` back into the input gradient with col2im.
 Above the threshold both directions build the patch matrix for one block
 of about ``PATCH_BLOCK`` elements' worth of samples at a time, so no
 whole-batch patch matrix or patch gradient exists.  ``max_pool_window``
-reads no patch matrix: it compares the window's strided offset views in
-turn and keeps each window's winning offset, one byte per output; its
-backward builds each block's window gradients from those offsets and adds
-them back with col2im.
+reads no patch matrix: block by block, it compares the strided view of
+each window offset with the best so far and keeps each window's winning
+offset as a small integer; its backward builds each block's window
+gradients from those offsets and adds them back with col2im.
 
 Primitives never write into an array they did not allocate in the same
 call.  The one in-place writer is ``equivariant.ConvLayer``: it adds its

@@ -159,7 +159,7 @@ def k_step_loop_correlate2d(x, w, stride, padding):
 # GEMM_WORK_THRESHOLD, so on the loop path
 LOOP_CASES = {
     "cnn_head": ((32, 64, 4, 4), (2, 64, 4, 4), 1, 0),
-    "predict1_batch1": ((8, 8, 6, 6), (32, 8, 6, 6), 2, 0),
+    "predict1_batch1": ((8, 8, 6, 6), (32, 8, 6, 6), 1, 0),
     "stem0_batch1_pad1": ((1, 1, 32, 32), (16, 1, 3, 3), 1, 1),
     "one_cell_k300": ((1, 12, 5, 5), (1, 12, 5, 5), 1, 0),
     "one_cell_k1": ((1, 1, 1, 1), (1, 1, 1, 1), 1, 0),
