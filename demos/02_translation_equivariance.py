@@ -8,6 +8,7 @@ Layers take and return plain tensors [N, channels, H, W].
 
 import numpy as np
 
+from capgram import autodiff as ad
 from capgram import equivariant as eq
 from capgram.autodiff import Tensor
 
@@ -17,23 +18,28 @@ x = Tensor(rng.normal(size=(1, 2, 12, 12)))
 conv = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), stride=1, activation="relu")
 conv_padded = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), stride=1, padding=1)
 strided = eq.ConvLayer(Tensor(rng.normal(size=(4, 2, 3, 3))), stride=2)
-pool = eq.MaxPoolLayer(2, 2)
 
+
+def pool(t):
+    return ad.max_pool_window(t, 2, 2)
+
+
+# (name, map, shift, stride, padding)
 cases = [
-    ("conv stride 1, shift (2, 0)", conv, (2, 0)),
-    ("conv stride 1, shift (0, 3)", conv, (0, 3)),
-    ("padded conv,   shift (1, 1)", conv_padded, (1, 1)),
-    ("conv stride 2, shift (2, -2)", strided, (2, -2)),
-    ("max-pool s=2,  shift (2, 2)", pool, (2, 2)),
+    ("conv stride 1, shift (2, 0)", conv, (2, 0), 1, 0),
+    ("conv stride 1, shift (0, 3)", conv, (0, 3), 1, 0),
+    ("padded conv,   shift (1, 1)", conv_padded, (1, 1), 1, 1),
+    ("conv stride 2, shift (2, -2)", strided, (2, -2), 2, 0),
+    ("max-pool s=2,  shift (2, 2)", pool, (2, 2), 2, 0),
 ]
 print(f"{'case':34s} max abs deviation on interior")
-for name, layer, shift in cases:
-    dev = eq.check_translation_equivariance(layer, x, shift)
+for name, fn, shift, stride, padding in cases:
+    dev = eq.check_translation_equivariance(fn, x, shift, stride, padding)
     print(f"{name:34s} {dev:.3e}")
     assert dev < 1e-10
 
 print("\nA shift that is not a stride multiple is rejected:")
 try:
-    eq.check_translation_equivariance(strided, x, (1, 0))
+    eq.check_translation_equivariance(strided, x, (1, 0), stride=2)
 except ValueError as exc:
     print("  ValueError:", exc)

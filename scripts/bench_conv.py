@@ -177,7 +177,7 @@ def main(argv=None):
             Ho = (H + 2 * site["padding"] - kH) // site["stride"] + 1
             Wo = (W + 2 * site["padding"] - kW) // site["stride"] + 1
             site["macs"] = N * O * Ho * Wo * C * kH * kW
-            site["forward_path"] = "gemm" if site["macs"] > ad.GEMM_WORK_THRESHOLD else "reference"
+            site["forward_path"] = "gemm" if site["macs"] > ad.GEMM_WORK_THRESHOLD else "loop"
         for dt in DTYPES:
             site[dt] = time_site(np, ad, site, dt)
             for key in ("fwd_ms", "bwd_ms"):

@@ -188,6 +188,9 @@ def _swept(g):
 
 
 def _as_tensor(x, like=None):
+    """A non-tensor operand becomes a constant of ``like``'s dtype, so under
+    NEP 50 ``mul(x, s)`` and ``add(x, s)`` with a Python scalar give the bits
+    of ``x.data * s`` and ``x.data + s``."""
     if isinstance(x, Tensor):
         return x
     dtype = like.data.dtype if like is not None else WIDE
@@ -263,36 +266,6 @@ def div(a, b):
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return _node(out, (a, b), backward)
-
-
-def neg(a):
-    a = _as_tensor(a)
-
-    def backward(g):
-        return (-g,)
-
-    return _node(-a.data, (a,), backward)
-
-
-def scale(a, s):
-    """Multiply by a python scalar."""
-    a = _as_tensor(a)
-    s = float(s)
-
-    def backward(g):
-        return (g * s,)
-
-    return _node(a.data * s, (a,), backward)
-
-
-def add_scalar(a, s):
-    a = _as_tensor(a)
-    s = float(s)
-
-    def backward(g):
-        return (g,)
-
-    return _node(a.data + s, (a,), backward)
 
 
 def relu(a):

@@ -2,10 +2,11 @@
 
 Layers take and return plain tensors [N, channels, H, W]: per sample, a
 function sampled on translations of an H x W grid, one scalar per channel.
-Correlation layers and two-step max-pooling (window maximum over a coset,
-then subsampling onto the stride subgroup) come with a test surface that
-measures translation equivariance on the interior region unaffected by
-zero padding.
+``check_translation_equivariance`` measures how far a correlation layer, or
+any such map, is from translation equivariance on the interior region
+unaffected by zero padding.  Two-step max-pooling (window maximum over a
+coset, then subsampling onto the stride subgroup) is no layer object here:
+callers call ``autodiff.max_pool_window`` with its window and stride.
 
 A conv layer is one graph node whose only saved activation is its output:
 it adds its bias and applies its ReLU in place, in the buffer
@@ -75,19 +76,6 @@ class ConvLayer:
         return ad._node(out, parents, backward)
 
 
-class MaxPoolLayer:
-    """Window maximum over each position's coset, then stride subsampling."""
-
-    padding = 0
-
-    def __init__(self, window, stride):
-        self.window = int(window)
-        self.stride = int(stride)
-
-    def __call__(self, x):
-        return ad.max_pool_window(x, self.window, self.stride)
-
-
 def translate(values, dy, dx):
     """Shift an [..., H, W] array by (dy, dx), filling vacated cells with 0."""
     values = np.asarray(values)
@@ -101,21 +89,22 @@ def translate(values, dy, dx):
     return out
 
 
-def check_translation_equivariance(layer, x, shift):
-    """Max abs deviation between layer(translate(f)) and translate(layer(f)).
+def check_translation_equivariance(fn, x, shift, stride=1, padding=0):
+    """Max abs deviation between fn(translate(f)) and translate(fn(f)).
 
-    Compared on the interior region unaffected by zero padding and by the
-    shift itself. The shift must be a multiple of the layer stride so the
-    output-side translation is well defined.
+    ``fn`` maps a tensor [N, C, H, W] to one on the stride subgroup; it
+    subsamples by ``stride`` and zero-pads by ``padding``, which the caller
+    states (a ``ConvLayer``'s own, or the stride of a max-pool).  Compared on
+    the interior region unaffected by zero padding and by the shift itself.
+    The shift must be a multiple of the stride so the output-side
+    translation is well defined.
     """
     dy, dx = shift
-    stride = getattr(layer, "stride", 1)
-    padding = getattr(layer, "padding", 0)
     if dy % stride or dx % stride:
         raise ValueError(f"shift {shift} must be a multiple of stride {stride}")
     with ad.no_grad():
-        out_base = layer(x).data
-        out_shifted = layer(Tensor(translate(x.data, dy, dx))).data
+        out_base = fn(x).data
+        out_shifted = fn(Tensor(translate(x.data, dy, dx))).data
     dyo, dxo = dy // stride, dx // stride
     target = translate(out_base, dyo, dxo)
     border = -(-padding // stride)  # ceil: outputs whose window touched padding

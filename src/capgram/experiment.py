@@ -206,7 +206,7 @@ def train(cfg, log=print):
                     else:
                         # reported but kept out of the graph: a w_ent = 0
                         # run is bit-identical to a margin-only run
-                        total = ad.scale(margin, 1.0)
+                        total = margin
                 except ValueError as exc:
                     # diverged activations trip the finiteness guards inside
                     # softmax/log before the loss itself is evaluated

@@ -6,9 +6,9 @@ Leaves are glyph ids that index fixed 7x7 bitmaps stamped additively onto
 the canvas and clamped to [0, 1]. Sampling records every placed part's
 bounding box, in stamping order, so a scene can be replayed bit-exactly.
 
-The part-swap corruption exchanges the contents of two part boxes
-(nearest-neighbour resized when extents differ), which preserves the parts
-but violates the composition — the probe for parse-tree-like models.
+The part-swap corruption exchanges the contents of two part boxes of equal
+extent (every built-in glyph is 7x7), which preserves the parts but violates
+the composition — the probe for parse-tree-like models.
 """
 
 from __future__ import annotations
@@ -381,19 +381,14 @@ def render_manifest(grammar, manifest, canvas=32):
     return img
 
 
-def _nn_resize(patch, h, w):
-    sh, sw = patch.shape
-    rows = (np.arange(h) * sh) // h
-    cols = (np.arange(w) * sw) // w
-    return patch[np.ix_(rows, cols)]
-
-
 def part_swap(image, manifest, rng):
-    """Exchange the contents of two part boxes, resizing by nearest neighbour.
+    """Exchange the contents of two part boxes of equal extent.
 
     The pair is chosen uniformly among non-overlapping part pairs; pixels
     outside both boxes are untouched and the label is unchanged. Returns the
     corrupted image and an updated manifest recording the swapped pair.
+    Raises ValueError if the chosen boxes differ in extent, which no
+    built-in grammar produces: its glyphs are all 7x7.
     """
     parts = manifest.parts
     if len(parts) < 2:
@@ -410,10 +405,11 @@ def part_swap(image, manifest, rng):
     out = np.array(image, copy=True)
     y0a, x0a, y1a, x1a = parts[i].box
     y0b, x0b, y1b, x1b = parts[j].box
+    if (y1a - y0a, x1a - x0a) != (y1b - y0b, x1b - x0b):
+        raise ValueError(f"cannot swap unequal boxes {parts[i].box} and {parts[j].box}")
     patch_a = out[0, y0a:y1a, x0a:x1a].copy()
-    patch_b = out[0, y0b:y1b, x0b:x1b].copy()
-    out[0, y0a:y1a, x0a:x1a] = _nn_resize(patch_b, y1a - y0a, x1a - x0a)
-    out[0, y0b:y1b, x0b:x1b] = _nn_resize(patch_a, y1b - y0b, x1b - x0b)
+    out[0, y0a:y1a, x0a:x1a] = out[0, y0b:y1b, x0b:x1b]
+    out[0, y0b:y1b, x0b:x1b] = patch_a
     new_parts = [PartBox(p.name, p.glyph, p.box) for p in parts]
     new_parts[i] = PartBox(parts[i].name, parts[j].glyph, parts[i].box)
     new_parts[j] = PartBox(parts[j].name, parts[i].glyph, parts[j].box)

@@ -40,11 +40,11 @@ def margin_loss(activations, target):
         raise ValueError(f"{t.size} targets for batch of {B}")
     onehot = np.zeros((B, K), dtype=activations.dtype)
     onehot[np.arange(B), t] = 1.0
-    pos = ad.relu(ad.add_scalar(ad.neg(activations), MARGIN_POS))
-    neg = ad.relu(ad.add_scalar(activations, -MARGIN_NEG))
+    pos = ad.relu(ad.add(ad.mul(activations, -1.0), MARGIN_POS))
+    neg = ad.relu(ad.add(activations, -MARGIN_NEG))
     per = ad.add(
         ad.mul(Tensor(onehot), ad.mul(pos, pos)),
-        ad.scale(ad.mul(Tensor(1.0 - onehot), ad.mul(neg, neg)), MARGIN_LAMBDA),
+        ad.mul(ad.mul(Tensor(1.0 - onehot), ad.mul(neg, neg)), MARGIN_LAMBDA),
     )
     return ad.reduce_mean(ad.reduce_sum(per, axis=1))
 
@@ -64,4 +64,4 @@ def entropy_loss(traces):
 
 def combined_loss(margin, entropy, w_ent):
     """(1 - w_ent) * margin + w_ent * entropy."""
-    return ad.add(ad.scale(margin, 1.0 - w_ent), ad.scale(entropy, w_ent))
+    return ad.add(ad.mul(margin, 1.0 - w_ent), ad.mul(entropy, w_ent))

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import routing as rt
 from .autodiff import Tensor
 from .config import ConfigError
-from .equivariant import ConvLayer, MaxPoolLayer
+from .equivariant import ConvLayer
 
 CHECKPOINT_MAGIC = b"CGL1"
 ROUTING_ITERS = 3
@@ -140,7 +140,7 @@ class _Model:
     def _run_stack(self, prefix, specs, x):
         for n, spec in enumerate(specs):
             if isinstance(spec, PoolSpec):
-                x = MaxPoolLayer(spec.window, spec.stride)(x)
+                x = ad.max_pool_window(x, spec.window, spec.stride)
             else:
                 x = self._conv_layer(f"{prefix}.{n}", x, spec.stride, spec.padding, "relu")
         return x

@@ -81,7 +81,7 @@ def squash(v, axis=-1):
     epsilon-guarded so the map stays differentiable at the zero vector.
     """
     n = ad.l2_norm(v, axis=axis, epsilon=SQUASH_NORM_EPSILON, keepdims=True)
-    factor = ad.div(n, ad.add_scalar(ad.mul(n, n), 1.0))
+    factor = ad.div(n, ad.add(ad.mul(n, n), 1.0))
     return ad.mul(v, factor)
 
 
@@ -217,7 +217,7 @@ def routing_entropy(trace):
     be used as a differentiable loss term.
     """
     c = trace.coefficients[-1]
-    h = ad.neg(ad.reduce_sum(ad.mul(c, ad.log(ad.add_scalar(c, ENTROPY_LOG_GUARD))), axis=-3))
+    h = ad.mul(ad.reduce_sum(ad.mul(c, ad.log(ad.add(c, ENTROPY_LOG_GUARD))), axis=-3), -1.0)
     return ad.reduce_mean(h)
 
 

@@ -360,6 +360,29 @@ def test_relu_bit_identical_to_where_formula(dtype):
         assert got.tobytes() == want.tobytes(), x
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scalar_first", [False, True], ids=["tensor_op_scalar", "scalar_op_tensor"])
+@pytest.mark.parametrize("name", ["mul", "add"])
+def test_python_scalar_operand_bit_identical_to_python_float(name, scalar_first, dtype):
+    # A Python scalar becomes a 0-d constant of the tensor's dtype, so under
+    # NEP 50 mul and add give the bits numpy gives for the bare float:
+    # x * s and x + s forward, g * s and g backward, in x's dtype.
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 0.1, 3e38]
+    x = np.array(special + list(np.random.default_rng(6).normal(size=23)), dtype=dtype)
+    g = np.roll(x, 3)
+    op, np_op = {"mul": (ad.mul, np.multiply), "add": (ad.add, np.add)}[name]
+    for s in (2.0, -1.0, 0.5, 0.1, 0.2, -0.0, 0.0, np.inf, -np.inf, 1e-12, 1e300):
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(all="ignore"):
+            out = op(s, t) if scalar_first else op(t, s)
+            want = np_op(s, x) if scalar_first else np_op(x, s)
+            got_grad = out._backward(g)[1 if scalar_first else 0]
+            want_grad = g * s if name == "mul" else g
+        assert out.data.dtype == dtype and got_grad.dtype == dtype
+        assert out.data.tobytes() == want.tobytes(), s
+        assert got_grad.tobytes() == want_grad.tobytes(), s
+
+
 def test_reduce_mean_value():
     assert ad.reduce_mean(Tensor(np.array([1.0, 2.0, 3.0, 4.0]))).item() == 2.5
 
@@ -643,7 +666,7 @@ def test_second_sweep_through_swept_nodes_raises():
     with pytest.raises(RuntimeError, match="earlier sweep already used and freed"):
         loss.backward()
     with pytest.raises(RuntimeError, match="earlier sweep already used and freed"):
-        ad.reduce_sum(ad.scale(y, 2.0)).backward()
+        ad.reduce_sum(ad.mul(y, 2.0)).backward()
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
@@ -724,20 +747,21 @@ def _project_to_scalar(op, proj_rng):
 
 
 OPS_FOR_GRADCHECK = [
-    ("add_self", lambda x: ad.add(x, ad.scale(x, 0.5))),
-    ("mul", lambda x: ad.mul(x, ad.add_scalar(x, 2.0))),
-    ("div", lambda x: ad.div(x, ad.add_scalar(ad.mul(x, x), 4.0))),
-    ("neg", ad.neg),
-    ("scale", lambda x: ad.scale(x, -1.7)),
+    ("add_self", lambda x: ad.add(x, ad.mul(x, 0.5))),
+    ("mul", lambda x: ad.mul(x, ad.add(x, 2.0))),
+    ("div", lambda x: ad.div(x, ad.add(ad.mul(x, x), 4.0))),
+    ("neg", lambda x: ad.mul(x, -1.0)),
+    ("scale", lambda x: ad.mul(-1.7, x)),
+    ("add_scalar", lambda x: ad.add(2.5, x)),
     ("relu", ad.relu),
     ("sigmoid", ad.sigmoid),
-    ("log", lambda x: ad.log(ad.add_scalar(ad.mul(x, x), 1.0))),
+    ("log", lambda x: ad.log(ad.add(ad.mul(x, x), 1.0))),
     ("reduce_sum_axis", lambda x: ad.reduce_sum(x, axis=1, keepdims=True)),
     ("reduce_mean_axis", lambda x: ad.reduce_mean(x, axis=0)),
     ("reshape", lambda x: ad.reshape(x, (4, 6))),
     ("softmax", lambda x: ad.softmax(x, axis=1)),
     ("l2_norm", lambda x: ad.l2_norm(x, axis=1, epsilon=1e-8)),
-    ("squash_like", lambda x: ad.div(x, ad.add_scalar(ad.l2_norm(x, axis=1, keepdims=True), 1.0))),
+    ("squash_like", lambda x: ad.div(x, ad.add(ad.l2_norm(x, axis=1, keepdims=True), 1.0))),
     ("correlate", lambda x: ad.correlate2d(ad.reshape(x, (1, 2, 4, 3)), Tensor(_CORR_W))),
     ("max_pool", lambda x: ad.max_pool_window(ad.reshape(x, (2, 4, 3)), 2, 1)),
 ]

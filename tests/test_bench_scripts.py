@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from capgram.autodiff import GEMM_WORK_THRESHOLD
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -55,6 +57,12 @@ def test_bench_conv_smoke(load_script, tmp_path):
     for site in run["sites"]:
         for dt in ("float32", "float64"):
             assert set(site[dt]) == {"fwd_ms", "bwd_ms", "fwd_peak_mb", "bwd_peak_mb"}
+    convs = [s for s in run["sites"] if s["function"] == "correlate2d"]
+    # each conv's label names the forward branch its work count selects
+    assert [s["forward_path"] for s in convs] == [
+        "gemm" if s["macs"] > GEMM_WORK_THRESHOLD else "loop" for s in convs
+    ]
+    assert {s["forward_path"] for s in convs} == {"gemm", "loop"}
     for dt in ("float32", "float64"):
         assert set(run["totals"][dt]) == {"capsnet.correlate2d", "cnn.correlate2d", "cnn.max_pool_window"}
 

@@ -38,23 +38,23 @@ def test_conv_layer_vs_loop_oracle():
 
 
 def test_max_pool_examples():
-    out = eq.MaxPoolLayer(2, 2)(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])))
+    out = ad.max_pool_window(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])), 2, 2)
     assert out.data.reshape(()) == 4.0
 
-    const = eq.MaxPoolLayer(2, 2)(Tensor(np.full((2, 6, 6), 1.5)))
+    const = ad.max_pool_window(Tensor(np.full((2, 6, 6), 1.5)), 2, 2)
     np.testing.assert_array_equal(const.data, np.full((2, 3, 3), 1.5))
 
 
 def test_max_pool_vs_oracle():
     rng = np.random.default_rng(3)
     field = _rand_field(rng, c=2, h=7, w=7)
-    out = eq.MaxPoolLayer(3, 2)(field)
+    out = ad.max_pool_window(field, 3, 2)
     np.testing.assert_array_equal(out.data, naive_max_pool(field.data, 3, 2))
 
 
 def test_pool_window_error():
     with pytest.raises(ValueError):
-        eq.MaxPoolLayer(4, 1)(Tensor(np.zeros((1, 3, 3))))
+        ad.max_pool_window(Tensor(np.zeros((1, 3, 3))), 4, 1)
 
 
 def test_translate_zero_fill():
@@ -92,21 +92,24 @@ def test_conv_stride1_shift_equivariance():
 def test_conv_stride1_padded_shift_equivariance():
     rng = np.random.default_rng(6)
     layer = eq.ConvLayer(Tensor(rng.normal(size=(3, 2, 3, 3))), stride=1, padding=1)
-    dev = eq.check_translation_equivariance(layer, _rand_field(rng, h=9, w=9), (1, 2))
+    dev = eq.check_translation_equivariance(layer, _rand_field(rng, h=9, w=9), (1, 2), padding=1)
     assert dev < 1e-10
 
 
 def test_max_pool_stride2_shift_equivariance():
     rng = np.random.default_rng(7)
-    layer = eq.MaxPoolLayer(2, 2)
-    dev = eq.check_translation_equivariance(layer, _rand_field(rng, h=10, w=10), (2, 2))
+
+    def pool(x):
+        return ad.max_pool_window(x, 2, 2)
+
+    dev = eq.check_translation_equivariance(pool, _rand_field(rng, h=10, w=10), (2, 2), stride=2)
     assert dev < 1e-10
 
 
 def test_strided_conv_stride_multiple_shift():
     rng = np.random.default_rng(8)
     layer = eq.ConvLayer(Tensor(rng.normal(size=(2, 2, 3, 3))), stride=2)
-    dev = eq.check_translation_equivariance(layer, _rand_field(rng, h=12, w=12), (2, -2))
+    dev = eq.check_translation_equivariance(layer, _rand_field(rng, h=12, w=12), (2, -2), stride=2)
     assert dev < 1e-10
 
 
@@ -114,7 +117,7 @@ def test_shift_must_match_stride():
     rng = np.random.default_rng(9)
     layer = eq.ConvLayer(Tensor(rng.normal(size=(2, 2, 3, 3))), stride=2)
     with pytest.raises(ValueError, match="multiple of stride"):
-        eq.check_translation_equivariance(layer, _rand_field(rng, h=10, w=10), (1, 0))
+        eq.check_translation_equivariance(layer, _rand_field(rng, h=10, w=10), (1, 0), stride=2)
 
 
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1), (-2, 3), (3, -3)])

@@ -133,6 +133,19 @@ def test_swap_equal_boxes_is_involution():
     np.testing.assert_array_equal(back, img)
 
 
+def test_swap_moves_each_box_content_exactly():
+    img = np.zeros((1, 32, 32))
+    img[0, 2:9, 2:9] = np.arange(49.0).reshape(7, 7)
+    img[0, 20:27, 11:18] = -np.arange(49.0).reshape(7, 7)
+    manifest = gr.SceneManifest(
+        label=0, parts=[gr.PartBox("a", 0, (2, 2, 9, 9)), gr.PartBox("b", 1, (20, 11, 27, 18))]
+    )
+    swapped, man2 = gr.part_swap(img, manifest, np.random.default_rng(0))
+    assert man2.swap == (0, 1)
+    np.testing.assert_array_equal(swapped[0, 2:9, 2:9], img[0, 20:27, 11:18])
+    np.testing.assert_array_equal(swapped[0, 20:27, 11:18], img[0, 2:9, 2:9])
+
+
 def test_swap_leaves_outside_pixels_untouched():
     img, manifest = _face_scene()
     swapped, man2 = gr.part_swap(img, manifest, np.random.default_rng(2))
@@ -166,7 +179,7 @@ def test_swap_all_overlapping_errors():
         gr.part_swap(img, manifest, np.random.default_rng(0))
 
 
-def test_swap_resizes_unequal_boxes_nearest_neighbour():
+def test_swap_rejects_unequal_boxes():
     img = np.zeros((1, 32, 32))
     img[0, 2:6, 2:6] = 1.0  # 4x4 block of ones
     img[0, 10:18, 10:18] = 0.5  # 8x8 block of halves
@@ -177,15 +190,7 @@ def test_swap_resizes_unequal_boxes_nearest_neighbour():
             gr.PartBox("b", 1, (10, 10, 18, 18)),
         ],
     )
-    swapped, man2 = gr.part_swap(img, manifest, np.random.default_rng(0))
-    assert man2.swap == (0, 1)
-    np.testing.assert_array_equal(swapped[0, 2:6, 2:6], np.full((4, 4), 0.5))
-    np.testing.assert_array_equal(swapped[0, 10:18, 10:18], np.ones((8, 8)))
-
-
-def test_nn_resize_identity_and_downscale():
-    patch = np.arange(16.0).reshape(4, 4)
-    np.testing.assert_array_equal(gr._nn_resize(patch, 4, 4), patch)
-    np.testing.assert_array_equal(
-        gr._nn_resize(patch, 2, 2), np.array([[0.0, 2.0], [8.0, 10.0]])
-    )
+    before = img.copy()
+    with pytest.raises(ValueError, match="unequal boxes"):
+        gr.part_swap(img, manifest, np.random.default_rng(0))
+    np.testing.assert_array_equal(img, before)

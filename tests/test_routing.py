@@ -189,7 +189,7 @@ def test_equal_route_single_input_type():
     rng = np.random.default_rng(7)
     S = _random_stack(rng, I=1, J=3)
     out = rt.equal_route_traced(S)[0].data
-    want = rt.squash(ad.scale(Tensor(S.data[:, 0]), 1.0 / 3.0), axis=-3).data
+    want = rt.squash(ad.mul(Tensor(S.data[:, 0]), 1.0 / 3.0), axis=-3).data
     np.testing.assert_allclose(out, want, atol=1e-15)
 
 
@@ -234,9 +234,9 @@ def _route_loss(caps, final_coefficients, proj, weights):
     trace = rt.RoutingTrace(coefficients=[final_coefficients])
     terms = []
     if w_caps:
-        terms.append(ad.scale(ad.reduce_sum(ad.mul(caps, Tensor(proj))), w_caps))
+        terms.append(ad.mul(ad.reduce_sum(ad.mul(caps, Tensor(proj))), w_caps))
     if w_ent:
-        terms.append(ad.scale(rt.routing_entropy(trace), w_ent))
+        terms.append(ad.mul(rt.routing_entropy(trace), w_ent))
     return terms[0] if len(terms) == 1 else ad.add(*terms)
 
 

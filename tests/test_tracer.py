@@ -80,6 +80,32 @@ def test_tracer_spans_one_capsnet_step(mode):
     assert tracer.counts["autodiff.correlate2d.calls"] == 4  # stem, primary, 2 predictions
 
 
+def test_tracer_spans_one_cnn_step():
+    model = models.CNN(models.CNNConfig(), 0, np.float32)
+    optimizer = optim.Adam(model.params.values())
+    tracer = _tracer_module().Tracer(MODULES)
+    tracer.install()
+    patched = list(tracer._saved)
+    try:
+        out = model.forward(Tensor(np.full((2, 1, 32, 32), 0.5, np.float32)))
+        losses.margin_loss(out.class_activations, [0, 1]).backward()
+        optimizer.step()
+    finally:
+        tracer.uninstall()
+    assert (autodiff, "max_pool_window", autodiff.max_pool_window) in patched
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr
+
+    spans = {sid: (name, parent) for sid, name, _, _, parent, _ in tracer.spans}
+    (forward_id,) = [sid for sid, (name, _) in spans.items() if name == "models.forward"]
+    pools = [parent for name, parent in spans.values() if name == "autodiff.max_pool_window"]
+    assert pools == [forward_id, forward_id]  # the CNN's two pools, directly under the forward
+    names = [name for name, _ in spans.values()]
+    assert names.count("autodiff.max_pool_window.bwd") == 2
+    assert {"losses.margin_loss", "autodiff.backward", "optim.Adam.step"} <= set(names)
+    assert tracer.counts["autodiff.correlate2d.calls"] == 5  # four convs and the head
+
+
 def test_run_parse_edges_match_inspect_parse(monkeypatch):
     # run.py imports its sibling as ``tracer``
     monkeypatch.setitem(sys.modules, "tracer", _tracer_module())
