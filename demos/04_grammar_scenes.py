@@ -22,17 +22,17 @@ face_grammar = gr.builtin_face_grammar()
 rng = np.random.default_rng(42)
 img, manifest = gr.sample_scene(face_grammar, rng, 32, label=1)
 show(img, "a face: left_eye / right_eye / nose / mouth")
-for part in manifest.parts:
-    print(f"  {part.name:10s} glyph {part.glyph}  box {part.box}")
+for part in manifest["parts"]:
+    print(f"  {part['name']:10s} glyph {part['glyph']}  box {part['box']}")
 
 print("\nreplaying the recorded manifest reproduces the image bit-exactly:",
       np.array_equal(gr.render_manifest(face_grammar, manifest, 32), img))
 
 swapped, swapped_manifest = gr.part_swap(img, manifest, np.random.default_rng(7))
-i, j = swapped_manifest.swap
-print(f"\nswapping part {manifest.parts[i].name} with {manifest.parts[j].name}:")
+i, j = swapped_manifest["swap"]
+print(f"\nswapping part {manifest['parts'][i]['name']} with {manifest['parts'][j]['name']}:")
 show(swapped, "same parts, broken composition")
 
 distractor_grammar = gr.builtin_distractor_grammar()
 img2, manifest2 = gr.sample_scene(distractor_grammar, np.random.default_rng(1), 32)
-show(img2, f"a distractor scene ({len(manifest2.parts)} parts, disjoint glyphs)")
+show(img2, f"a distractor scene ({len(manifest2['parts'])} parts, disjoint glyphs)")

@@ -20,7 +20,7 @@ import numpy as np
 from capgram import dataset as ds
 from capgram import experiment as ex
 
-ORDER = ["unregcaps", "0.4caps", "0.8caps", "schcaps", "equalcaps", "cnn"]
+ORDER = list(ex.VARIANTS)
 
 
 def run_seed(dataset_dir, out_root, seed, epochs):
@@ -81,7 +81,7 @@ def write_table(all_rows, path, epochs):
     Path(path).write_text("\n".join(lines))
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results")
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
@@ -90,7 +90,7 @@ def main():
     ap.add_argument("--n-train", type=int, default=2000)
     ap.add_argument("--n-val", type=int, default=400)
     ap.add_argument("--n-probe", type=int, default=400)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out_root = Path(args.out)
     dataset_dir = out_root / "data"

@@ -2,10 +2,12 @@
 
 Splits: train and val scenes (balanced face/distractor classes), plus a
 probe split of part-swapped faces built only from validation faces so the
-probe never sees training content. Images are stored in IDX binary form
-(count x H x W unsigned bytes), labels in IDX label form, and per-scene
-manifests as one JSON object per line. Regenerating with the same config
-and seed is byte-identical.
+probe never sees training content. Images (count x H x W) and labels
+(count) are stored as IDX files of unsigned bytes, read and written by one
+codec, and per-scene manifests as one JSON object per line. A manifest line
+is the ``grammar`` record with its split position as ``index``, so a loaded
+record passes to ``grammar.render_manifest`` or ``part_swap`` as it is.
+Regenerating with the same config and seed is byte-identical.
 
 Loading reads every image and label file. Manifests are only counted at
 load, to check each split's sizes agree; a split's manifest file is parsed
@@ -16,6 +18,7 @@ the first time ``bundle.manifests[split]`` is read. A malformed file raises
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
@@ -25,9 +28,6 @@ import numpy as np
 
 from . import grammar as gr
 from .config import ConfigError
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 FACE_LABEL = 1
 DISTRACTOR_LABEL = 0
@@ -49,6 +49,12 @@ class DatasetConfig:
     distractor_families: int = 8
 
     def __post_init__(self):
+        if not 0.0 <= self.face_fraction <= 1.0:  # also false for NaN
+            raise ConfigError(f"face_fraction must be in [0, 1], got {self.face_fraction}")
+        if self.canvas < gr.GLYPH_SIZE:
+            raise ConfigError(f"canvas must be at least {gr.GLYPH_SIZE}, got {self.canvas}")
+        if self.distractor_families < 1:
+            raise ConfigError(f"distractor_families must be >= 1, got {self.distractor_families}")
         if self.seed < 0:
             raise ConfigError(f"run.seed must be non-negative, got {self.seed}")
         if self.n_train < 1 or self.n_val < 1:
@@ -94,73 +100,38 @@ def quantize(img):
 # IDX files
 
 
-def write_idx_images(path, images):
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"images must be [N, H, W], got {images.shape}")
+def write_idx(path, array):
+    array = np.asarray(array, dtype=np.uint8)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
+        fh.write(struct.pack(f">{array.ndim + 1}I", 0x0800 | array.ndim, *array.shape))
+        fh.write(array.tobytes())
 
 
-def read_idx_images(path):
+def read_idx(path, rank):
+    """The uint8 array of an IDX file with ``rank`` axes. A short header, a magic
+    other than ``0x0800 | rank``, a payload that is not the product of the
+    extents, or extents numpy cannot hold raise ``ConfigError`` naming the file."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
+        header = fh.read(4 * (rank + 1))
+        if len(header) < 4 * (rank + 1):
             raise ConfigError(f"{path}: truncated IDX header")
-        magic, count, h, w = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGE_MAGIC:
-            raise ConfigError(f"{path}: bad image magic 0x{magic:08x}")
+        magic, *shape = struct.unpack(f">{rank + 1}I", header)
+        if magic != 0x0800 | rank:
+            raise ConfigError(f"{path}: bad magic 0x{magic:08x}, expected 0x{0x0800 | rank:08x}")
         data = fh.read()
-    if len(data) != count * h * w:
-        raise ConfigError(
-            f"{path}: expected {count * h * w} pixels, found {len(data)} bytes"
-        )
+    size, extents = math.prod(shape), " x ".join(map(str, shape))
+    if len(data) != size:
+        raise ConfigError(f"{path}: expected {size} bytes ({extents}), found {len(data)}")
     try:
-        # an empty file can declare 0 images of a size numpy cannot index
-        images = np.frombuffer(data, dtype=np.uint8).reshape(count, h, w)
+        # with one extent 0, an empty payload can declare others past numpy's range
+        array = np.frombuffer(data, dtype=np.uint8).reshape(shape)
     except ValueError as exc:
-        raise ConfigError(f"{path}: cannot hold {count} x {h} x {w} images: {exc}") from exc
-    return images.copy()
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
-def read_idx_labels(path):
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise ConfigError(f"{path}: truncated IDX header")
-        magic, count = struct.unpack(">II", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise ConfigError(f"{path}: bad label magic 0x{magic:08x}")
-        data = fh.read()
-    if len(data) != count:
-        raise ConfigError(f"{path}: expected {count} labels, found {len(data)} bytes")
-    return np.frombuffer(data, dtype=np.uint8).copy()
+        raise ConfigError(f"{path}: cannot hold a {extents} array: {exc}") from exc
+    return array.copy()
 
 
 # ---------------------------------------------------------------------------
 # manifests
-
-
-def manifest_to_record(index, manifest):
-    rec = {
-        "index": int(index),
-        "label": int(manifest.label),
-        "parts": [
-            {"name": p.name, "glyph": int(p.glyph), "box": [int(v) for v in p.box]}
-            for p in manifest.parts
-        ],
-    }
-    if manifest.swap is not None:
-        rec["swap"] = [int(v) for v in manifest.swap]
-    return rec
 
 
 def write_manifests(path, records):
@@ -240,7 +211,6 @@ def generate_dataset(config=None, out_dir=None):
     labels = {}
     manifests = {}
     global_index = 0
-    val_faces = []  # (val position, uint8 image, manifest)
     for split, count in (("train", config.n_train), ("val", config.n_val)):
         split_labels = _labels_for(count, config.face_fraction)
         imgs = np.zeros((count, config.canvas, config.canvas), dtype=np.uint8)
@@ -251,24 +221,23 @@ def generate_dataset(config=None, out_dir=None):
                 grammars[label], rng, config.canvas, label=label
             )
             imgs[i] = quantize(img[0])
-            recs.append(manifest_to_record(i, manifest))
-            if split == "val" and label == FACE_LABEL:
-                val_faces.append((i, imgs[i].copy(), manifest))
+            recs.append({"index": i, **manifest})
             global_index += 1
         images[split] = imgs
         labels[split] = np.array(split_labels, dtype=np.uint8)
         manifests[split] = recs
 
+    val_faces = [rec for rec in manifests["val"] if rec["label"] == FACE_LABEL]
     probe_imgs = np.zeros((config.n_probe, config.canvas, config.canvas), dtype=np.uint8)
     probe_recs = []
     for k in range(config.n_probe):
-        _, img_u8, manifest = val_faces[k % len(val_faces)]
+        face = val_faces[k % len(val_faces)]
         rng = _scene_rng(config.seed, global_index)
         swapped, swapped_manifest = gr.part_swap(
-            (img_u8.astype(np.float64) / 255.0)[None], manifest, rng
+            (images["val"][face["index"]].astype(np.float64) / 255.0)[None], face, rng
         )
         probe_imgs[k] = quantize(swapped[0])
-        probe_recs.append(manifest_to_record(k, swapped_manifest))
+        probe_recs.append({**swapped_manifest, "index": k})
         global_index += 1
     images["probe"] = probe_imgs
     labels["probe"] = np.full(config.n_probe, FACE_LABEL, dtype=np.uint8)
@@ -284,8 +253,8 @@ def save_dataset(bundle, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for split in SPLITS:
-        write_idx_images(out / f"{split}-images.idx", bundle.images[split])
-        write_idx_labels(out / f"{split}-labels.idx", bundle.labels[split])
+        write_idx(out / f"{split}-images.idx", bundle.images[split])
+        write_idx(out / f"{split}-labels.idx", bundle.labels[split])
         write_manifests(out / f"{split}-manifests.jsonl", bundle.manifests[split])
     with open(out / "config.json", "w") as fh:
         json.dump(asdict(bundle.config), fh, sort_keys=True, indent=2)
@@ -312,13 +281,20 @@ def load_dataset(path):
         allowed = int if kinds[key] == "int" else (int, float)
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(f"{cfg_path}: {key} must be {kinds[key]}, got {value!r}")
-    config = DatasetConfig(**recorded)
+    try:
+        config = DatasetConfig(**recorded)
+    except ConfigError as exc:
+        raise ConfigError(f"{cfg_path}: {exc}") from exc
     images = {}
     labels = {}
     manifests = ManifestFiles(root)
     for split in SPLITS:
-        images[split] = read_idx_images(root / f"{split}-images.idx")
-        labels[split] = read_idx_labels(root / f"{split}-labels.idx")
+        image_path = root / f"{split}-images.idx"
+        images[split] = read_idx(image_path, 3)
+        labels[split] = read_idx(root / f"{split}-labels.idx", 1)
+        _, h, w = images[split].shape
+        if h != config.canvas or w != config.canvas:
+            raise ConfigError(f"{image_path}: images are {h} x {w}, canvas is {config.canvas}")
         # the records read_manifests would return, counted without parsing
         n_manifests = sum(1 for _ in _manifest_lines(manifests.path(split)))
         if not (len(images[split]) == len(labels[split]) == n_manifests):

@@ -6,6 +6,9 @@ Leaves are glyph ids that index fixed 7x7 bitmaps stamped additively onto
 the canvas and clamped to [0, 1]. Sampling records every placed part's
 bounding box, in stamping order, so a scene can be replayed bit-exactly.
 
+A manifest is one record, the JSON line ``dataset`` stores: ``{"label", "parts":
+[{"name", "glyph", "box": [y0, x0, y1, x1]}]}``, end-exclusive; extra keys pass through.
+
 The part-swap corruption exchanges the contents of two part boxes of equal
 extent (every built-in glyph is 7x7), which preserves the parts but violates
 the composition — the probe for parse-tree-like models.
@@ -14,6 +17,7 @@ the composition — the probe for parse-tree-like models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -213,20 +217,6 @@ class SceneGrammar:
         visit(self.start, [])
 
 
-@dataclass
-class PartBox:
-    name: str
-    glyph: int
-    box: tuple  # (y0, x0, y1, x1), end-exclusive
-
-
-@dataclass
-class SceneManifest:
-    label: int
-    parts: list
-    swap: tuple | None = None
-
-
 def builtin_face_grammar():
     """Face as an AND of four part regions, each an OR over two glyphs."""
     return SceneGrammar(
@@ -326,14 +316,9 @@ def sample_scene(grammar, rng, canvas=32, label=0):
                     f"part left the canvas after {JITTER_RETRIES} jitter resamples"
                 )
             continue
-        boxes = [p.box for p in parts]
-        ok = all(
-            _box_overlap_fraction(boxes[i], boxes[j]) <= MAX_BOX_OVERLAP
-            for i in range(len(boxes))
-            for j in range(i + 1, len(boxes))
-        )
-        if ok:
-            manifest = SceneManifest(label=label, parts=parts)
+        pairs = combinations([p["box"] for p in parts], 2)
+        if all(_box_overlap_fraction(a, b) <= MAX_BOX_OVERLAP for a, b in pairs):
+            manifest = {"label": int(label), "parts": parts}
             return render_manifest(grammar, manifest, canvas), manifest
     raise ValueError(
         f"boxes still overlap too much after {OVERLAP_RETRIES} jitter resamples"
@@ -348,10 +333,10 @@ def _expand(grammar, symbol, center, rng, extent, parts, part_name=None):
         gh, gw = bitmap.shape
         y0 = center[0] - gh // 2
         x0 = center[1] - gw // 2
-        box = (y0, x0, y0 + gh, x0 + gw)
+        box = [y0, x0, y0 + gh, x0 + gw]
         if y0 < 0 or x0 < 0 or box[2] > extent[0] or box[3] > extent[1]:
             return False  # outside the canvas: caller resamples jitter
-        parts.append(PartBox(name=part_name or str(glyph), glyph=glyph, box=box))
+        parts.append({"name": part_name or str(glyph), "glyph": glyph, "box": box})
         return True
     if symbol in grammar.or_rules:
         alts = grammar.or_rules[symbol]
@@ -370,13 +355,14 @@ def _expand(grammar, symbol, center, rng, extent, parts, part_name=None):
 def render_manifest(grammar, manifest, canvas=32):
     """Stamp the manifest's parts in order, then clamp: the replay function.
 
+    Reads only ``manifest["parts"]``, so a loaded record renders as it is.
     Replaying a recorded manifest reproduces the sampled image bit-exactly.
     """
     H = W = int(canvas)
     img = np.zeros((1, H, W), dtype=np.float64)
-    for part in manifest.parts:
-        y0, x0, y1, x1 = part.box
-        img[0, y0:y1, x0:x1] += grammar.terminals[part.glyph]
+    for part in manifest["parts"]:
+        y0, x0, y1, x1 = part["box"]
+        img[0, y0:y1, x0:x1] += grammar.terminals[part["glyph"]]
     np.clip(img, 0.0, 1.0, out=img)
     return img
 
@@ -386,36 +372,30 @@ def part_swap(image, manifest, rng):
 
     The pair is chosen uniformly among non-overlapping part pairs; pixels
     outside both boxes are untouched and the label is unchanged. Returns the
-    corrupted image and an updated manifest recording the swapped pair.
-    Raises ValueError if the chosen boxes differ in extent, which no
-    built-in grammar produces: its glyphs are all 7x7.
+    corrupted image and ``{**manifest, "parts": new_parts, "swap": [i, j]}``,
+    where the two parts trade glyphs; other keys pass through. Raises
+    ValueError if the chosen boxes differ in extent, which no built-in
+    grammar produces: its glyphs are all 7x7.
     """
-    parts = manifest.parts
+    parts = manifest["parts"]
     if len(parts) < 2:
         raise ValueError("part_swap needs at least two parts")
     candidates = [
         (i, j)
-        for i in range(len(parts))
-        for j in range(i + 1, len(parts))
-        if _box_overlap_fraction(parts[i].box, parts[j].box) == 0.0
+        for i, j in combinations(range(len(parts)), 2)
+        if _box_overlap_fraction(parts[i]["box"], parts[j]["box"]) == 0.0
     ]
     if not candidates:
         raise ValueError("all part pairs overlap; cannot swap")
     i, j = candidates[int(rng.integers(len(candidates)))]
     out = np.array(image, copy=True)
-    y0a, x0a, y1a, x1a = parts[i].box
-    y0b, x0b, y1b, x1b = parts[j].box
+    y0a, x0a, y1a, x1a = parts[i]["box"]
+    y0b, x0b, y1b, x1b = parts[j]["box"]
     if (y1a - y0a, x1a - x0a) != (y1b - y0b, x1b - x0b):
-        raise ValueError(f"cannot swap unequal boxes {parts[i].box} and {parts[j].box}")
+        raise ValueError(f"cannot swap unequal boxes {parts[i]['box']} and {parts[j]['box']}")
     patch_a = out[0, y0a:y1a, x0a:x1a].copy()
     out[0, y0a:y1a, x0a:x1a] = out[0, y0b:y1b, x0b:x1b]
     out[0, y0b:y1b, x0b:x1b] = patch_a
-    new_parts = [PartBox(p.name, p.glyph, p.box) for p in parts]
-    new_parts[i] = PartBox(parts[i].name, parts[j].glyph, parts[i].box)
-    new_parts[j] = PartBox(parts[j].name, parts[i].glyph, parts[j].box)
-    swapped = SceneManifest(
-        label=manifest.label,
-        parts=new_parts,
-        swap=(i, j),
-    )
-    return out, swapped
+    new_parts = [dict(p) for p in parts]
+    new_parts[i]["glyph"], new_parts[j]["glyph"] = parts[j]["glyph"], parts[i]["glyph"]
+    return out, {**manifest, "parts": new_parts, "swap": [i, j]}

@@ -4,6 +4,8 @@
 attribute name, so a renamed or removed function breaks them. These tests
 run each once with one timed call per measurement at a small batch, writing
 into a temporary directory, and check the keys of the JSON they write.
+``scripts/run_matrix.py`` runs every variant for one epoch and one seed on a
+16/8/8 dataset, and the test checks the rows of both files it writes.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from capgram import experiment as ex
 from capgram.autodiff import GEMM_WORK_THRESHOLD
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -85,3 +88,20 @@ def test_bench_routing_smoke(load_script, tmp_path):
     for layer in run["layers"]:
         for dt in ("float32", "float64"):
             assert set(layer[dt]) == {"fwd_ms", "fwd_bwd_ms"}
+
+
+def test_run_matrix_smoke(tmp_path):
+    spec = importlib.util.spec_from_file_location("run_matrix", SCRIPTS / "run_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    argv = ["--out", str(tmp_path), "--seeds", "7", "--epochs", "1"]
+    assert matrix.main(argv + ["--n-train", "16", "--n-val", "8", "--n-probe", "8"]) == 0
+    results = json.loads((tmp_path / "results.json").read_text())
+    assert results["epochs"] == 1 and list(results["seeds"]) == ["7"]
+    rows = results["seeds"]["7"]
+    assert sorted(rows) == sorted(ex.VARIANTS)
+    for row in rows.values():
+        assert set(row) == {"accuracy", "entropy_total", "intact", "swapped", "drop", "wall_s"}
+    table = (tmp_path / "results.md").read_text().splitlines()
+    names = [line.split(" | ")[0][2:] for line in table if line.startswith("| ") and "---" not in line]
+    assert names == ["variant"] + list(ex.VARIANTS)

@@ -214,6 +214,29 @@ def test_malformed_dataset_config_json_exit_1(tmp_path, capsys, text, message):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("face_fraction", float("nan"), "config.json: face_fraction must be in [0, 1], got nan"),
+        ("distractor_families", 0, "config.json: distractor_families must be >= 1, got 0"),
+        ("canvas", -3, "config.json: canvas must be at least 7, got -3"),
+        ("canvas", 16, "train-images.idx: images are 32 x 32, canvas is 16"),
+    ],
+    ids=["nan_face_fraction", "no_distractor_families", "negative_canvas", "canvas_not_image_size"],
+)
+def test_out_of_range_dataset_config_json_exit_1(tmp_path, capsys, key, value, message):
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "c.cfg", data)
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    recorded = json.loads((data / "config.json").read_text())
+    recorded[key] = value
+    (data / "config.json").write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:-7])
 
@@ -229,8 +252,8 @@ def _drop_last_line(path):
 @pytest.mark.parametrize(
     "name, damage, message",
     [
-        ("val-images.idx", _truncate, "val-images.idx: expected 8192 pixels, found 8185 bytes"),
-        ("train-labels.idx", _bad_magic, "train-labels.idx: bad label magic 0x00000802"),
+        ("val-images.idx", _truncate, "val-images.idx: expected 8192 bytes (8 x 32 x 32), found 8185"),
+        ("train-labels.idx", _bad_magic, "train-labels.idx: bad magic 0x00000802, expected 0x00000801"),
         ("probe-manifests.jsonl", _drop_last_line, "probe counts disagree (8 images, 8 labels, 7 manifests)"),
     ],
     ids=["truncated_idx", "bad_magic", "manifest_missing_line"],

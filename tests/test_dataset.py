@@ -149,41 +149,43 @@ def test_manifest_schema(tmp_path):
 def test_idx_round_trip_and_magic(tmp_path):
     imgs = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
     p = tmp_path / "x.idx"
-    ds.write_idx_images(p, imgs)
-    np.testing.assert_array_equal(ds.read_idx_images(p), imgs)
+    ds.write_idx(p, imgs)
+    np.testing.assert_array_equal(ds.read_idx(p, 3), imgs)
     blob = p.read_bytes()
     assert blob[:4] == b"\x00\x00\x08\x03"
     bad = tmp_path / "bad.idx"
     bad.write_bytes(b"\x00\x00\x08\x01" + blob[4:])
     with pytest.raises(ValueError, match="magic"):
-        ds.read_idx_images(bad)
+        ds.read_idx(bad, 3)
     trunc = tmp_path / "trunc.idx"
     trunc.write_bytes(blob[:-3])
     with pytest.raises(ValueError, match="expected"):
-        ds.read_idx_images(trunc)
+        ds.read_idx(trunc, 3)
 
 
 def test_idx_labels_round_trip_and_magic(tmp_path):
     labels = np.array([0, 1, 1, 0], dtype=np.uint8)
     p = tmp_path / "y.idx"
-    ds.write_idx_labels(p, labels)
-    np.testing.assert_array_equal(ds.read_idx_labels(p), labels)
+    ds.write_idx(p, labels)
+    np.testing.assert_array_equal(ds.read_idx(p, 1), labels)
     blob = p.read_bytes()
     assert blob[:4] == b"\x00\x00\x08\x01"
     trunc = tmp_path / "trunc.idx"
     trunc.write_bytes(blob[:-2])
     with pytest.raises(ValueError, match="expected"):
-        ds.read_idx_labels(trunc)
+        ds.read_idx(trunc, 1)
     short = tmp_path / "short.idx"
     short.write_bytes(blob[:5])
     with pytest.raises(ValueError, match="truncated"):
-        ds.read_idx_labels(short)
+        ds.read_idx(short, 1)
 
 
-# Each IDX reader with its writer, header layout and magic.
+# Each IDX reader with its writer, header layout and magic (0x0800 | rank).
+IDX_IMAGE_MAGIC = 0x00000803
+IDX_LABEL_MAGIC = 0x00000801
 IDX_READERS = {
-    "images": (ds.read_idx_images, ds.write_idx_images, ">IIII", ds.IDX_IMAGE_MAGIC),
-    "labels": (ds.read_idx_labels, ds.write_idx_labels, ">II", ds.IDX_LABEL_MAGIC),
+    "images": (lambda p: ds.read_idx(p, 3), ds.write_idx, ">IIII", IDX_IMAGE_MAGIC),
+    "labels": (lambda p: ds.read_idx(p, 1), ds.write_idx, ">II", IDX_LABEL_MAGIC),
 }
 # Small extents make files the readers can accept; large ones declare more
 # than any file holds, and two of them multiply past numpy's index range.
@@ -221,13 +223,13 @@ def test_idx_readers_fuzz_arbitrary_bytes(idx_dir, kind, blob):
 
 @given(
     kind=st.sampled_from(sorted(IDX_READERS)),
-    magic=st.one_of(st.sampled_from([ds.IDX_IMAGE_MAGIC, ds.IDX_LABEL_MAGIC]), st.integers(0, 2**32 - 1)),
+    magic=st.one_of(st.sampled_from([IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC]), st.integers(0, 2**32 - 1)),
     extents=st.tuples(EXTENT, EXTENT, EXTENT),
     payload=st.binary(max_size=48),
 )
-@example(kind="images", magic=ds.IDX_IMAGE_MAGIC, extents=(0, 2**32 - 1, 2**32 - 1), payload=b"")
-@example(kind="images", magic=ds.IDX_IMAGE_MAGIC, extents=(2**32 - 1, 2**32 - 1, 2**32 - 1), payload=b"")
-@example(kind="labels", magic=ds.IDX_LABEL_MAGIC, extents=(2**32 - 1, 0, 0), payload=b"\x01")
+@example(kind="images", magic=IDX_IMAGE_MAGIC, extents=(0, 2**32 - 1, 2**32 - 1), payload=b"")
+@example(kind="images", magic=IDX_IMAGE_MAGIC, extents=(2**32 - 1, 2**32 - 1, 2**32 - 1), payload=b"")
+@example(kind="labels", magic=IDX_LABEL_MAGIC, extents=(2**32 - 1, 0, 0), payload=b"\x01")
 @settings(max_examples=150, deadline=None)
 def test_idx_readers_fuzz_declared_extents(idx_dir, kind, magic, extents, payload):
     header = IDX_READERS[kind][2]
@@ -341,15 +343,14 @@ def test_quantize_round_trip_through_files():
     np.testing.assert_array_equal(again, u8)
 
 
-def test_val_face_manifest_replay_renders_file_pixels():
-    bundle = ds.generate_dataset(SMALL)
-    face = gr.builtin_face_grammar()
-    for i, rec in enumerate(bundle.manifests["val"]):
-        if rec["label"] != ds.FACE_LABEL:
-            continue
-        manifest = gr.SceneManifest(
-            label=rec["label"],
-            parts=[gr.PartBox(p["name"], p["glyph"], tuple(p["box"])) for p in rec["parts"]],
-            )
-        img = gr.render_manifest(face, manifest, 32)
-        np.testing.assert_array_equal(ds.quantize(img[0]), bundle.images["val"][i])
+def test_loaded_manifests_render_to_stored_pixels(tmp_path):
+    ds.generate_dataset(SMALL, out_dir=tmp_path)
+    bundle = ds.load_dataset(tmp_path)
+    grammars = {
+        ds.FACE_LABEL: gr.builtin_face_grammar(),
+        ds.DISTRACTOR_LABEL: gr.builtin_distractor_grammar(bundle.config.distractor_families),
+    }
+    for split in ("train", "val"):
+        for i, rec in enumerate(bundle.manifests[split]):
+            img = gr.render_manifest(grammars[rec["label"]], rec, bundle.config.canvas)
+            np.testing.assert_array_equal(ds.quantize(img[0]), bundle.images[split][i])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def test_face_grammar_four_parts_every_sample():
     g = gr.builtin_face_grammar()
     for seed in range(20):
         _, manifest = gr.sample_scene(g, np.random.default_rng(seed), 32, label=1)
-        assert [p.name for p in manifest.parts] == [
+        assert [p["name"] for p in manifest["parts"]] == [
             "left_eye",
             "right_eye",
             "nose",
@@ -50,8 +52,8 @@ def test_distractor_grammar_properties():
         assert sum(p for _, p in alts) == pytest.approx(1.0, abs=1e-9)
     for seed in range(20):
         _, manifest = gr.sample_scene(g, np.random.default_rng(seed), 32, label=0)
-        assert 3 <= len(manifest.parts) <= 5
-        assert all(p.glyph in g.terminals for p in manifest.parts)
+        assert 3 <= len(manifest["parts"]) <= 5
+        assert all(p["glyph"] in g.terminals for p in manifest["parts"])
 
 
 def test_sampling_deterministic_given_seed():
@@ -59,7 +61,7 @@ def test_sampling_deterministic_given_seed():
     img1, man1 = gr.sample_scene(g, np.random.default_rng(42), 32, label=1)
     img2, man2 = gr.sample_scene(g, np.random.default_rng(42), 32, label=1)
     np.testing.assert_array_equal(img1, img2)
-    assert [p.box for p in man1.parts] == [p.box for p in man2.parts]
+    assert [p["box"] for p in man1["parts"]] == [p["box"] for p in man2["parts"]]
 
 
 def test_zero_jitter_places_exact_offsets():
@@ -67,8 +69,8 @@ def test_zero_jitter_places_exact_offsets():
     g.and_rules["face"] = [(c, off, 0) for c, off, _ in g.and_rules["face"]]
     _, manifest = gr.sample_scene(g, np.random.default_rng(0), 32, label=1)
     centers = {
-        p.name: ((p.box[0] + p.box[2]) // 2, (p.box[1] + p.box[3]) // 2)
-        for p in manifest.parts
+        p["name"]: ((p["box"][0] + p["box"][2]) // 2, (p["box"][1] + p["box"][3]) // 2)
+        for p in manifest["parts"]
     }
     assert centers["left_eye"] == (10, 11)
     assert centers["right_eye"] == (10, 21)
@@ -89,7 +91,7 @@ def test_boxes_inside_canvas_and_overlap_bounded():
     g = gr.builtin_face_grammar()
     for seed in range(50):
         _, manifest = gr.sample_scene(g, np.random.default_rng(seed), 32, label=1)
-        boxes = [p.box for p in manifest.parts]
+        boxes = [p["box"] for p in manifest["parts"]]
         for y0, x0, y1, x1 in boxes:
             assert 0 <= y0 < y1 <= 32 and 0 <= x0 < x1 <= 32
         for i in range(len(boxes)):
@@ -111,7 +113,7 @@ def test_or_sampling_frequencies_match_likelihoods():
     count_glyph0 = 0
     for _ in range(n):
         _, manifest = gr.sample_scene(g, rng, 32, label=1)
-        count_glyph0 += manifest.parts[0].glyph == 0
+        count_glyph0 += manifest["parts"][0]["glyph"] == 0
     sigma = np.sqrt(n * 0.25)
     assert abs(count_glyph0 - n * 0.5) <= 3 * sigma
 
@@ -128,7 +130,7 @@ def _face_scene(seed=3):
 def test_swap_equal_boxes_is_involution():
     img, manifest = _face_scene()
     swapped, man2 = gr.part_swap(img, manifest, np.random.default_rng(1))
-    assert man2.swap is not None and man2.label == manifest.label
+    assert man2["swap"] is not None and man2["label"] == manifest["label"]
     back, _ = gr.part_swap(swapped, man2, np.random.default_rng(1))
     np.testing.assert_array_equal(back, img)
 
@@ -137,11 +139,15 @@ def test_swap_moves_each_box_content_exactly():
     img = np.zeros((1, 32, 32))
     img[0, 2:9, 2:9] = np.arange(49.0).reshape(7, 7)
     img[0, 20:27, 11:18] = -np.arange(49.0).reshape(7, 7)
-    manifest = gr.SceneManifest(
-        label=0, parts=[gr.PartBox("a", 0, (2, 2, 9, 9)), gr.PartBox("b", 1, (20, 11, 27, 18))]
-    )
+    manifest = {
+        "label": 0,
+        "parts": [
+            {"name": "a", "glyph": 0, "box": [2, 2, 9, 9]},
+            {"name": "b", "glyph": 1, "box": [20, 11, 27, 18]},
+        ],
+    }
     swapped, man2 = gr.part_swap(img, manifest, np.random.default_rng(0))
-    assert man2.swap == (0, 1)
+    assert man2["swap"] == [0, 1]
     np.testing.assert_array_equal(swapped[0, 2:9, 2:9], img[0, 20:27, 11:18])
     np.testing.assert_array_equal(swapped[0, 20:27, 11:18], img[0, 2:9, 2:9])
 
@@ -149,10 +155,10 @@ def test_swap_moves_each_box_content_exactly():
 def test_swap_leaves_outside_pixels_untouched():
     img, manifest = _face_scene()
     swapped, man2 = gr.part_swap(img, manifest, np.random.default_rng(2))
-    i, j = man2.swap
+    i, j = man2["swap"]
     mask = np.ones((32, 32), dtype=bool)
     for idx in (i, j):
-        y0, x0, y1, x1 = manifest.parts[idx].box
+        y0, x0, y1, x1 = manifest["parts"][idx]["box"]
         mask[y0:y1, x0:x1] = False
     np.testing.assert_array_equal(swapped[0][mask], img[0][mask])
     assert img[0][mask].sum() == swapped[0][mask].sum()
@@ -161,20 +167,29 @@ def test_swap_leaves_outside_pixels_untouched():
 def test_swap_preserves_glyph_multiset():
     img, manifest = _face_scene()
     _, man2 = gr.part_swap(img, manifest, np.random.default_rng(3))
-    assert sorted(p.glyph for p in man2.parts) == sorted(p.glyph for p in manifest.parts)
+    assert sorted(p["glyph"] for p in man2["parts"]) == sorted(p["glyph"] for p in manifest["parts"])
+
+
+def test_swap_passes_other_keys_through_and_leaves_input_intact():
+    img, manifest = _face_scene()
+    record = {"index": 5, **manifest}
+    before = json.dumps(record, sort_keys=True)
+    _, swapped = gr.part_swap(img, record, np.random.default_rng(3))
+    assert json.dumps(record, sort_keys=True) == before
+    assert swapped["index"] == 5 and set(swapped) == {"index", "label", "parts", "swap"}
 
 
 def test_swap_needs_two_parts():
     img, manifest = _face_scene()
-    manifest.parts = manifest.parts[:1]
+    manifest["parts"] = manifest["parts"][:1]
     with pytest.raises(ValueError, match="at least two"):
         gr.part_swap(img, manifest, np.random.default_rng(0))
 
 
 def test_swap_all_overlapping_errors():
     img, manifest = _face_scene()
-    box = manifest.parts[0].box
-    manifest.parts = [gr.PartBox(p.name, p.glyph, box) for p in manifest.parts]
+    box = manifest["parts"][0]["box"]
+    manifest["parts"] = [dict(p, box=box) for p in manifest["parts"]]
     with pytest.raises(ValueError, match="overlap"):
         gr.part_swap(img, manifest, np.random.default_rng(0))
 
@@ -183,13 +198,13 @@ def test_swap_rejects_unequal_boxes():
     img = np.zeros((1, 32, 32))
     img[0, 2:6, 2:6] = 1.0  # 4x4 block of ones
     img[0, 10:18, 10:18] = 0.5  # 8x8 block of halves
-    manifest = gr.SceneManifest(
-        label=1,
-        parts=[
-            gr.PartBox("a", 0, (2, 2, 6, 6)),
-            gr.PartBox("b", 1, (10, 10, 18, 18)),
+    manifest = {
+        "label": 1,
+        "parts": [
+            {"name": "a", "glyph": 0, "box": [2, 2, 6, 6]},
+            {"name": "b", "glyph": 1, "box": [10, 10, 18, 18]},
         ],
-    )
+    }
     before = img.copy()
     with pytest.raises(ValueError, match="unequal boxes"):
         gr.part_swap(img, manifest, np.random.default_rng(0))
