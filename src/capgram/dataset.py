@@ -233,10 +233,8 @@ def generate_dataset(config=None, out_dir=None):
     for k in range(config.n_probe):
         face = val_faces[k % len(val_faces)]
         rng = _scene_rng(config.seed, global_index)
-        swapped, swapped_manifest = gr.part_swap(
-            (images["val"][face["index"]].astype(np.float64) / 255.0)[None], face, rng
-        )
-        probe_imgs[k] = quantize(swapped[0])
+        swapped, swapped_manifest = gr.part_swap(images["val"][face["index"]][None], face, rng)
+        probe_imgs[k] = swapped[0]
         probe_recs.append({**swapped_manifest, "index": k})
         global_index += 1
     images["probe"] = probe_imgs
@@ -291,7 +289,15 @@ def load_dataset(path):
     for split in SPLITS:
         image_path = root / f"{split}-images.idx"
         images[split] = read_idx(image_path, 3)
-        labels[split] = read_idx(root / f"{split}-labels.idx", 1)
+        label_path = root / f"{split}-labels.idx"
+        labels[split] = read_idx(label_path, 1)
+        outside = labels[split] > FACE_LABEL  # unsigned bytes, and DISTRACTOR_LABEL is 0
+        if outside.any():
+            first = int(outside.argmax())
+            raise ConfigError(
+                f"{label_path}: label {labels[split][first]} at index {first} "
+                f"is neither {DISTRACTOR_LABEL} nor {FACE_LABEL}"
+            )
         _, h, w = images[split].shape
         if h != config.canvas or w != config.canvas:
             raise ConfigError(f"{image_path}: images are {h} x {w}, canvas is {config.canvas}")

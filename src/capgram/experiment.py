@@ -327,7 +327,9 @@ def probe(cfg, checkpoint):
             "checkpoint": str(checkpoint),
             "faces_split": "val",
             "swapped_split": "probe",
-            "activation": "face-class capsule norm (class index %d)" % ds.FACE_LABEL,
+            "activation": "face-class %s (class index %d)" % (
+                "sigmoid score" if cfg.model_kind == "cnn" else "capsule norm", ds.FACE_LABEL
+            ),
             "n_intact": int(intact.shape[0]),
             "n_swapped": int(swapped.shape[0]),
         },

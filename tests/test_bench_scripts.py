@@ -1,9 +1,9 @@
 """The layer benchmarks in ``scripts/`` against the package they time.
 
-``scripts/bench_conv.py`` and ``scripts/bench_routing.py`` reach capgram by
-attribute name, so a renamed or removed function breaks them. These tests
-run each once with one timed call per measurement at a small batch, writing
-into a temporary directory, and check the keys of the JSON they write.
+``scripts/bench_layers.py`` reaches capgram by attribute name, so a renamed
+or removed function breaks it. Its test runs it twice with one timed call per
+measurement at a small batch, writing into a temporary directory, and checks
+the keys of both JSON files it writes.
 ``scripts/run_matrix.py`` runs every variant for one epoch and one seed on a
 16/8/8 dataset, and the test checks the rows of both files it writes.
 """
@@ -22,37 +22,40 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture
-def load_script(monkeypatch):
+def bench(monkeypatch):
+    """``scripts/bench_layers.py`` at batch 2, with one timed call per measurement."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")  # the scripts pin these; restore them afterwards
-    monkeypatch.setattr(sys, "path", [str(SCRIPTS)] + sys.path)
-
-    def load(name):
-        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "REPS", 1)
-        monkeypatch.setattr(module, "BATCH", 2)
-        return module
-
-    return load
+        monkeypatch.setenv(var, "1")  # the script pins these; restore them afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))  # and prepends src/
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPTS / "bench_layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "REPS", 1)
+    monkeypatch.setattr(module, "BATCH", 2)
+    return module
 
 
-def test_bench_conv_smoke(load_script, tmp_path):
-    out = tmp_path / "conv.json"
-    earlier = {"batch": 32, "sites": [], "totals": {}}
-    out.write_text(json.dumps({"benchmark": "correlate2d", "runs": {"702392c": [earlier]}}))
-    bench = load_script("bench_conv")
-    bench.main(["--out", str(out)])
-    bench.main(["--out", str(out)])
-    result = json.loads(out.read_text())
-    assert result["benchmark"] == "correlate2d"
-    assert result["runs"].pop("702392c") == [earlier]  # runs of other commits are kept
-    ((commit, runs),) = result["runs"].items()  # both runs kept under one commit
-    assert commit == bench.commit() and len(runs) == 2
-    run = runs[-1]
-    assert run["reps"] == 1 and run["batch"] == 2
-    assert {"environment", "sites", "totals"} <= set(run)
+def test_bench_layers_smoke(bench, tmp_path):
+    earlier = {
+        "BENCH_correlate2d.json": ("correlate2d", {"batch": 32, "sites": [], "totals": {}}),
+        "BENCH_routing.json": ("routing", {"batch": 32, "layers": [], "totals": {}}),
+    }
+    for name, (benchmark, run) in earlier.items():
+        (tmp_path / name).write_text(json.dumps({"benchmark": benchmark, "runs": {"702392c": [run]}}))
+    bench.main(["--out-dir", str(tmp_path)])
+    bench.main(["--out-dir", str(tmp_path)])
+    runs = {}
+    for name, (benchmark, run) in earlier.items():
+        result = json.loads((tmp_path / name).read_text())
+        assert result["benchmark"] == benchmark
+        assert result["runs"].pop("702392c") == [run]  # runs of other commits are kept
+        ((commit, by_commit),) = result["runs"].items()  # both runs kept under one commit
+        assert commit == bench.commit() and len(by_commit) == 2
+        runs[benchmark] = run = by_commit[-1]
+        assert run["reps"] == 1 and run["batch"] == 2
+        assert {"environment", "totals"} <= set(run)
+
+    run = runs["correlate2d"]
     assert [(s["site"], s["function"]) for s in run["sites"]] == [
         (name, "correlate2d")
         for name in ("stem0", "stem1", "primary", "predict0", "predict1", "conv0", "conv1", "conv2", "conv3", "head")
@@ -69,25 +72,15 @@ def test_bench_conv_smoke(load_script, tmp_path):
     for dt in ("float32", "float64"):
         assert set(run["totals"][dt]) == {"capsnet.correlate2d", "cnn.correlate2d", "cnn.max_pool_window"}
 
-
-def test_bench_routing_smoke(load_script, tmp_path):
-    out = tmp_path / "routing.json"
-    bench = load_script("bench_routing")
-    bench.main(["--out", str(out)])
-    bench.main(["--out", str(out)])
-    result = json.loads(out.read_text())
-    assert result["benchmark"] == "routing"
-    ((commit, runs),) = result["runs"].items()  # both runs kept under one commit
-    assert commit == bench.commit() and len(runs) == 2
-    run = runs[-1]
-    assert run["reps"] == 1 and run["batch"] == 2
-    assert {"environment", "layers", "totals"} <= set(run)
+    run = runs["routing"]
     assert [(l["layer"], l["predictions"][0], l["iters"]) for l in run["layers"]] == [
         ("L0", 2, 3), ("L1", 2, 3)
     ]
     for layer in run["layers"]:
         for dt in ("float32", "float64"):
             assert set(layer[dt]) == {"fwd_ms", "fwd_bwd_ms"}
+    for dt in ("float32", "float64"):
+        assert set(run["totals"][dt]) == {"fwd_ms", "fwd_bwd_ms"}
 
 
 def test_run_matrix_smoke(tmp_path):

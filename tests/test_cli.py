@@ -249,14 +249,19 @@ def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
 
+def _label_7(path):
+    path.write_bytes(path.read_bytes()[:-1] + b"\x07")
+
+
 @pytest.mark.parametrize(
     "name, damage, message",
     [
         ("val-images.idx", _truncate, "val-images.idx: expected 8192 bytes (8 x 32 x 32), found 8185"),
         ("train-labels.idx", _bad_magic, "train-labels.idx: bad magic 0x00000802, expected 0x00000801"),
         ("probe-manifests.jsonl", _drop_last_line, "probe counts disagree (8 images, 8 labels, 7 manifests)"),
+        ("train-labels.idx", _label_7, "train-labels.idx: label 7 at index 15 is neither 0 nor 1"),
     ],
-    ids=["truncated_idx", "bad_magic", "manifest_missing_line"],
+    ids=["truncated_idx", "bad_magic", "manifest_missing_line", "label_out_of_range"],
 )
 def test_malformed_dataset_file_exit_1(tmp_path, capsys, name, damage, message):
     data = tmp_path / "data"

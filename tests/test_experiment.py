@@ -262,6 +262,15 @@ def test_probe_report_fields(trained_run):
     assert report.metadata["n_swapped"] == 8
 
 
+def test_probe_names_each_model_kinds_score(trained_run, tiny_dataset, tmp_path):
+    cfg, summary = trained_run
+    report = ex.probe(cfg, summary["final_checkpoint"])
+    assert report.metadata["activation"] == "face-class capsule norm (class index 1)"
+    cnn = ex.variant_config("cnn", tiny_dataset, tmp_path / "cnn", epochs=1, batch_size=8, seed=5)
+    report = ex.probe(cnn, ex.train(cnn, log=lambda m: None)["final_checkpoint"])
+    assert report.metadata["activation"] == "face-class sigmoid score (class index 1)"
+
+
 def test_inspect_outputs_dot_and_table(trained_run):
     cfg, summary = trained_run
     dot, table = ex.inspect(cfg, summary["final_checkpoint"], 0, split="val")

@@ -87,6 +87,31 @@ def test_manifest_replay_is_bit_exact():
             np.testing.assert_array_equal(gr.render_manifest(g, manifest, 32), img)
 
 
+def _stamped(grammar, manifest, canvas=32):
+    """The manifest's image before the clamp, built without render_manifest:
+    each part's glyph added at its box by slicing."""
+    img = np.zeros((1, canvas, canvas))
+    for part in manifest["parts"]:
+        y0, x0, y1, x1 = part["box"]
+        img[0, y0:y1, x0:x1] += grammar.terminals[part["glyph"]]
+    return img
+
+
+def test_render_manifest_matches_stamped_glyphs():
+    face = gr.builtin_face_grammar()
+    overlapping = {"label": 1, "parts": [
+        {"name": "a", "glyph": 0, "box": [8, 8, 15, 15]},
+        {"name": "b", "glyph": 0, "box": [10, 10, 17, 17]},
+    ]}
+    assert _stamped(face, overlapping).max() == 2.0  # the clamp has work to do
+    cases = [(face, overlapping)]
+    for label, g in ((1, face), (0, gr.builtin_distractor_grammar())):
+        for seed in range(3):
+            cases.append((g, gr.sample_scene(g, np.random.default_rng(seed), 32, label=label)[1]))
+    for g, manifest in cases:
+        np.testing.assert_array_equal(gr.render_manifest(g, manifest, 32), np.clip(_stamped(g, manifest), 0.0, 1.0))
+
+
 def test_boxes_inside_canvas_and_overlap_bounded():
     g = gr.builtin_face_grammar()
     for seed in range(50):
