@@ -1,6 +1,6 @@
 """End-to-end miniature: train capsule variants, then probe compositionality.
 
-Trains on a small synthetic face-vs-distractor task (a few minutes on CPU)
+Trains on a small synthetic face-vs-distractor task (20-35 s on 2 cores)
 and compares an entropy-regularised capsule network against an
 unregularised one on part-swapped faces. The paper's claim is that the
 regularised model reaches lower routing entropy and loses more face

@@ -58,10 +58,12 @@ class RunConfig:
             raise ConfigError(f"train.precision must be narrow|wide, got {self.precision!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("train.epochs and train.batch must be positive")
-        if self.model_kind == "cnn" and self.w_ent_end > 0.0:
+        if self.model_kind == "cnn" and self.routing_mode == "equal":
+            raise ConfigError("model.routing equal needs model.kind capsnet (a cnn has no routing)")
+        if self.w_ent_end > 0.0 and (self.model_kind, self.routing_mode) != ("capsnet", "dynamic"):
             raise ConfigError(
-                f"loss.w_ent_end must be 0 for model.kind cnn (no routing entropy), "
-                f"got {self.w_ent_end}"
+                f"loss.w_ent_end must be 0 unless model.kind is capsnet and model.routing is "
+                f"dynamic (only dynamic routing's entropy has a gradient), got {self.w_ent_end}"
             )
         if not 0.0 <= self.w_ent_start <= self.w_ent_end <= 1.0:
             raise ConfigError(

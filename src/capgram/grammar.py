@@ -5,6 +5,7 @@ optional integer jitter); an OR-rule picks one alternative per likelihood.
 Leaves are glyph ids that index fixed 7x7 bitmaps stamped additively onto
 the canvas and clamped to [0, 1]. Sampling records every placed part's
 bounding box, in stamping order, so a scene can be replayed bit-exactly.
+A grammar is unchecked data: a malformed one fails at its first sample (see SceneGrammar).
 
 A manifest is one record, the JSON line ``dataset`` stores: ``{"label", "parts":
 [{"name", "glyph", "box": [y0, x0, y1, x1]}]}``, end-exclusive; extra keys pass through.
@@ -173,48 +174,15 @@ DISTRACTOR_GLYPHS = {
 
 @dataclass
 class SceneGrammar:
-    """AND-OR grammar: int children are terminal glyph ids, str are symbols."""
+    """AND-OR grammar: int children are terminal glyph ids, str are symbols.
+    Unchecked: a malformed grammar fails at the first sample that expands the
+    fault (a rule cycle: RecursionError; a missing rule or terminal: KeyError;
+    OR likelihoods not summing to 1: numpy's ValueError)."""
 
     terminals: dict  # glyph id -> bitmap
     or_rules: dict  # symbol -> [(child, likelihood)]
     and_rules: dict  # symbol -> [(child, (dy, dx), jitter)]
     start: str
-
-    def __post_init__(self):
-        for symbol, alts in self.or_rules.items():
-            total = sum(p for _, p in alts)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"OR likelihoods for {symbol!r} sum to {total}")
-        self._check_acyclic_and_grounded()
-
-    def _children(self, symbol):
-        if symbol in self.or_rules:
-            return [c for c, _ in self.or_rules[symbol]]
-        if symbol in self.and_rules:
-            return [c for c, _, _ in self.and_rules[symbol]]
-        return None
-
-    def _check_acyclic_and_grounded(self):
-        state = {}  # 0 visiting, 1 done
-
-        def visit(sym, trail):
-            if isinstance(sym, (int, np.integer)):
-                if sym not in self.terminals:
-                    raise ValueError(f"glyph {sym} has no terminal bitmap")
-                return
-            if state.get(sym) == 1:
-                return
-            if state.get(sym) == 0:
-                raise ValueError(f"rule cycle through {sym!r}: {trail}")
-            children = self._children(sym)
-            if children is None:
-                raise ValueError(f"symbol {sym!r} has no rule and is not a terminal")
-            state[sym] = 0
-            for child in children:
-                visit(child, trail + [sym])
-            state[sym] = 1
-
-        visit(self.start, [])
 
 
 def builtin_face_grammar():

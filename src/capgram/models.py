@@ -149,6 +149,8 @@ class _Model:
 class CapsNet(_Model):
     def __init__(self, cfg, seed, dtype=np.float64):
         super().__init__(cfg, seed, dtype)
+        if cfg.routing_mode not in ("dynamic", "equal"):
+            raise ValueError(f"routing_mode must be dynamic|equal, got {cfg.routing_mode!r}")
         extent, ch = self._conv_stack("stem", cfg.stem, cfg.image_size, cfg.in_channels)
         # the bias keeps blank canvas regions from producing exactly-zero
         # capsules, whose routing rows would be stuck at uniform forever

@@ -1,6 +1,7 @@
 """Smoke test: the quick demos run to completion.
 
-Demo 05 trains and probes end to end (about a minute) and is left out.
+Demo 05 trains and probes end to end (20-35 s on 2 cores with one BLAS
+thread) and is left out; CI runs it as a step of its own.
 """
 
 import os

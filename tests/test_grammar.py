@@ -24,36 +24,23 @@ def test_face_grammar_four_parts_every_sample():
         ]
 
 
-def test_face_grammar_acyclic_and_grounded():
-    gr.builtin_face_grammar()  # construction runs the checks
-    with pytest.raises(ValueError, match="cycle"):
-        gr.SceneGrammar(
-            terminals={0: gr.FACE_GLYPHS[0]},
-            or_rules={"a": [("b", 1.0)], "b": [("a", 1.0)]},
-            and_rules={},
-            start="a",
-        )
-    with pytest.raises(ValueError, match="no rule"):
-        gr.SceneGrammar(terminals={}, or_rules={}, and_rules={}, start="ghost")
-    with pytest.raises(ValueError, match="sum"):
-        gr.SceneGrammar(
-            terminals={0: gr.FACE_GLYPHS[0]},
-            or_rules={"a": [(0, 0.7)]},
-            and_rules={},
-            start="a",
-        )
-
-
-def test_distractor_grammar_properties():
-    g = gr.builtin_distractor_grammar()
+@pytest.mark.parametrize("n_families", [4, 8])
+def test_distractor_grammar_properties(n_families):
+    g = gr.builtin_distractor_grammar(n_families)
     face_glyphs = set(gr.builtin_face_grammar().terminals)
     assert set(g.terminals).isdisjoint(face_glyphs)
     for symbol, alts in g.or_rules.items():
         assert sum(p for _, p in alts) == pytest.approx(1.0, abs=1e-9)
-    for seed in range(20):
+    drawn = set()
+    for seed in range(40):
         _, manifest = gr.sample_scene(g, np.random.default_rng(seed), 32, label=0)
         assert 3 <= len(manifest["parts"]) <= 5
-        assert all(p["glyph"] in g.terminals for p in manifest["parts"])
+        for p in manifest["parts"]:
+            alternatives = [glyph for glyph, _ in g.or_rules[p["name"]]]
+            assert p["glyph"] in alternatives and p["glyph"] in g.terminals
+        # part names are f{k}_part{p}, so the family is the name's prefix
+        drawn |= {p["name"].split("_")[0] for p in manifest["parts"]}
+    assert drawn == {f"f{k}" for k in range(n_families)}
 
 
 def test_sampling_deterministic_given_seed():

@@ -85,6 +85,11 @@ def test_mismatched_class_layer_rejected():
         md.CapsNet(bad, 0)
 
 
+def test_unknown_routing_mode_rejected():
+    with pytest.raises(ValueError, match=r"routing_mode must be dynamic\|equal, got 'bogus'"):
+        md.CapsNet(md.CapsNetConfig(routing_mode="bogus"), 0)
+
+
 def test_wrong_extent_rejected_with_layer_trace():
     bad = md.CapsNetConfig(routed=(md.RoutedSpec(8, 8, 3, 2), md.RoutedSpec(2, 16, 4, 1)))
     with pytest.raises(ValueError, match="extent"):

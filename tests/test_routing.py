@@ -353,6 +353,18 @@ def test_equal_route_trace_entropy_exact():
         assert h == pytest.approx(np.log(J), abs=1e-9)
 
 
+def test_one_iteration_entropy_is_log_n_with_zero_gradient():
+    # one round's coefficients are softmax(0) = 1/n_out whatever S is, so the
+    # entropy is a constant: an entropy weight under equal routing trains nothing
+    rng = np.random.default_rng(14)
+    S = Tensor(rng.normal(size=(2, 3, 4, 2, 2, 2)), requires_grad=True)
+    _, trace = rt.dynamic_route(S, 1)
+    h = rt.routing_entropy(trace)
+    assert h.item() == pytest.approx(np.log(4.0), abs=1e-9)
+    h.backward()
+    np.testing.assert_array_equal(S.grad, np.zeros_like(S.data))
+
+
 def test_entropy_bounds_random_traces():
     rng = np.random.default_rng(12)
     for _ in range(50):
