@@ -188,7 +188,7 @@ class ManifestFiles(Mapping):
 
 
 def _scene_rng(seed, index):
-    return np.random.default_rng(np.random.PCG64(np.random.SeedSequence((seed, index))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
 def _labels_for(count, face_fraction):

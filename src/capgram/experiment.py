@@ -289,8 +289,14 @@ def _restore(cfg, checkpoint):
     return data, model
 
 
+def _require_samples(cfg, data, split):
+    if data.images[split].shape[0] == 0:
+        raise ConfigError(f"{cfg.dataset_dir}: split '{split}' is empty (dataset.n_{split} = 0)")
+
+
 def evaluate(cfg, checkpoint, split="val"):
     data, model = _restore(cfg, checkpoint)
+    _require_samples(cfg, data, split)
     accuracy, per_layer = evaluate_model(model, data, split, cfg.dtype)
     return {
         "split": split,
@@ -307,8 +313,7 @@ def probe(cfg, checkpoint):
     face_mask = data.labels["val"] == ds.FACE_LABEL
     if not face_mask.any():
         raise ConfigError(f"{cfg.dataset_dir}: split 'val' contains no faces to probe")
-    if data.images["probe"].shape[0] == 0:
-        raise ConfigError(f"{cfg.dataset_dir}: split 'probe' is empty (dataset.n_probe = 0)")
+    _require_samples(cfg, data, "probe")
     intact = data.images_float("val", dtype=cfg.dtype)[face_mask]
     swapped = data.images_float("probe", dtype=cfg.dtype)
 

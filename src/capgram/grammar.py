@@ -1,7 +1,8 @@
 """Executable AND-OR scene grammars with spatial offsets.
 
 An AND-rule composes a symbol from child symbols at fixed offsets (with
-optional integer jitter); an OR-rule picks one alternative per likelihood.
+optional integer jitter); an OR-rule picks one alternative per likelihood,
+with the one draw ``Generator.choice`` would make (see ``_draw_alternative``).
 Leaves are glyph ids that index fixed 7x7 bitmaps stamped additively onto
 the canvas and clamped to [0, 1]. Sampling records every placed part's
 bounding box, in stamping order, so a scene can be replayed bit-exactly.
@@ -17,8 +18,9 @@ the composition — the probe for parse-tree-like models.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -28,6 +30,7 @@ JITTER_RETRIES = 10  # placements that leave the canvas
 OVERLAP_RETRIES = 100  # placements whose boxes overlap too much (~35% of
 # face jitter draws push nose/mouth past the overlap bound, so this cap
 # needs enough headroom to make exhaustion astronomically unlikely)
+P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))  # Generator.choice's sum tolerance
 
 
 def _glyph(rows):
@@ -177,7 +180,9 @@ class SceneGrammar:
     """AND-OR grammar: int children are terminal glyph ids, str are symbols.
     Unchecked: a malformed grammar fails at the first sample that expands the
     fault (a rule cycle: RecursionError; a missing rule or terminal: KeyError;
-    OR likelihoods not summing to 1: numpy's ValueError)."""
+    an OR rule with no alternatives, a negative or NaN likelihood, or a sum
+    further than P_SUM_ATOL from 1: ValueError, raised by ``_draw_alternative``,
+    not by numpy)."""
 
     terminals: dict  # glyph id -> bitmap
     or_rules: dict  # symbol -> [(child, likelihood)]
@@ -293,6 +298,21 @@ def sample_scene(grammar, rng, canvas=32, label=0):
     )
 
 
+def _draw_alternative(likelihoods, rng):
+    """Index drawn by likelihood, as ``rng.choice(len(likelihoods), p=likelihoods)``.
+
+    Numpy's own steps for one sample (running sums divided by the last, then a
+    right-sided search for one ``rng.random()``), so the index and generator
+    state match ``choice``'s without its per-call array overhead. Refuses, as
+    ValueError, what ``choice`` refuses (see SceneGrammar).
+    """
+    cdf = list(accumulate(likelihoods))
+    if not cdf or min(likelihoods) < 0 or not abs(cdf[-1] - 1.0) <= P_SUM_ATOL:
+        raise ValueError(f"OR likelihoods must be non-negative and sum to 1, got {likelihoods}")
+    total = cdf[-1]
+    return bisect_right([c / total for c in cdf], rng.random())
+
+
 def _expand(grammar, symbol, center, rng, extent, parts, part_name=None):
     """Append the symbol's placed parts to ``parts``; False if one left the canvas."""
     if isinstance(symbol, (int, np.integer)):
@@ -308,8 +328,7 @@ def _expand(grammar, symbol, center, rng, extent, parts, part_name=None):
         return True
     if symbol in grammar.or_rules:
         alts = grammar.or_rules[symbol]
-        probs = np.array([p for _, p in alts])
-        choice = int(rng.choice(len(alts), p=probs))
+        choice = _draw_alternative([p for _, p in alts], rng)
         return _expand(grammar, alts[choice][0], center, rng, extent, parts, part_name=symbol)
     for child, (dy, dx), jitter in grammar.and_rules[symbol]:
         jy = int(rng.integers(-jitter, jitter + 1)) if jitter else 0

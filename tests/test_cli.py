@@ -313,6 +313,22 @@ def test_probe_without_probe_data_exit_1(workspace, tmp_path, capsys, n_val, mes
     assert not out.exists()
 
 
+def test_eval_empty_split_exit_1(workspace, tmp_path, capsys):
+    run = workspace[3]
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "c.cfg", data, **{"dataset.n_probe": 0})
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = cli.main(
+        ["eval", "--config", str(cfg), "--out", str(out),
+         "--checkpoint", str(run / "final.ckpt"), "--split", "probe"]
+    )
+    assert code == 1
+    assert "split 'probe' is empty (dataset.n_probe = 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index", ["99", "-1", "8"])
 def test_inspect_index_out_of_range_exit_1(workspace, tmp_path, capsys, index):
     root, cfg, data, run = workspace

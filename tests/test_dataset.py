@@ -27,6 +27,22 @@ GOLDEN_SHA = {
     "probe-manifests.jsonl": "e8c762bdc218f696",
 }
 
+# SMALL as generated, with its default 8 distractor families: every file,
+# frozen once the stamped-glyph test pinned the renderer and the
+# draw-equivalence test pinned OR draws to Generator.choice's.
+GOLDEN_SHA_8_FAMILIES = {
+    "config.json": "f96d2266fbca17d1",
+    "train-images.idx": "328e89a956076af0",
+    "train-labels.idx": "f50b825c921b3a25",
+    "train-manifests.jsonl": "56c1f33c5250c3c3",
+    "val-images.idx": "adca90d3cc8f3459",
+    "val-labels.idx": "83381c6ffede80a7",
+    "val-manifests.jsonl": "47bc2fdd3fe7f3e9",
+    "probe-images.idx": "319a17dba92a35ac",
+    "probe-labels.idx": "b10c880288c2113e",
+    "probe-manifests.jsonl": "e8c762bdc218f696",
+}
+
 
 def test_counts_and_exact_balance():
     bundle = ds.generate_dataset(SMALL)
@@ -45,15 +61,22 @@ def test_same_seed_byte_identical_files(tmp_path):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
 
 
+def _golden_mismatches(root, golden):
+    got = {name: hashlib.sha256((root / name).read_bytes()).hexdigest()[:16] for name in golden}
+    return [f"{name}: {got[name]} != {want}" for name, want in golden.items() if got[name] != want]
+
+
 def test_golden_checksums_seed42(tmp_path):
     ds.generate_dataset(replace(SMALL, distractor_families=4), out_dir=tmp_path)
-    got = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
-        for name in GOLDEN_SHA
-    }
-    mismatches = [
-        f"{name}: {got[name]} != {want}" for name, want in GOLDEN_SHA.items() if got[name] != want
-    ]
+    mismatches = _golden_mismatches(tmp_path, GOLDEN_SHA)
+    assert not mismatches, mismatches
+
+
+def test_golden_checksums_seed42_eight_families(tmp_path):
+    assert SMALL.distractor_families == 8
+    ds.generate_dataset(SMALL, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(GOLDEN_SHA_8_FAMILIES)
+    mismatches = _golden_mismatches(tmp_path, GOLDEN_SHA_8_FAMILIES)
     assert not mismatches, mismatches
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capgram import grammar as gr
 
@@ -128,6 +130,64 @@ def test_or_sampling_frequencies_match_likelihoods():
         count_glyph0 += manifest["parts"][0]["glyph"] == 0
     sigma = np.sqrt(n * 0.25)
     assert abs(count_glyph0 - n * 0.5) <= 3 * sigma
+
+
+@st.composite
+def _likelihoods(draw):
+    """1-12 likelihoods: n equal shares 1/n, or weights (zeros allowed) each
+    divided by their float sum, which seldom makes them add to exactly 1."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return [1.0 / n] * n
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e3, allow_subnormal=False))
+    weights = draw(st.lists(weight, min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+@given(likelihoods=_likelihoods(), seed=st.integers(0, 2**128 - 1))
+@example(likelihoods=[0.1] * 10, seed=0)  # sums to 0.9999999999999999
+@example(likelihoods=[0.0, 1.0, 0.0], seed=1)
+@settings(max_examples=300, deadline=None)
+def test_draw_alternative_matches_generator_choice(likelihoods, seed):
+    ours = np.random.Generator(np.random.PCG64(seed))
+    numpys = np.random.Generator(np.random.PCG64(seed))
+    index = gr._draw_alternative(likelihoods, ours)
+    assert index == numpys.choice(len(likelihoods), p=np.array(likelihoods))
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "likelihoods, accepted",
+    [([0.5, 0.5 + 1e-8], True), ([0.5, 0.5 - 1e-8], True),
+     ([0.5, 0.5 + 2e-8], False), ([0.5, 0.5 - 2e-8], False)],
+)
+def test_draw_alternative_sum_tolerance_matches_choice(likelihoods, accepted):
+    def refuses(draw):
+        try:
+            draw(np.random.default_rng(0))
+        except ValueError:
+            return True
+        return False
+
+    assert refuses(lambda rng: gr._draw_alternative(likelihoods, rng)) is not accepted
+    assert refuses(lambda rng: rng.choice(2, p=np.array(likelihoods))) is not accepted
+
+
+@pytest.mark.parametrize(
+    "alts",
+    [[(2, 0.35), (3, 0.35)], [(2, -0.5), (3, 1.5)], [], [(2, float("nan")), (3, 1.0)]],
+    ids=["sum_0.7", "negative", "no_alternatives", "nan"],
+)
+def test_malformed_or_rule_fails_at_first_sample(alts):
+    # SceneGrammar is unchecked data: the first sample that draws from the
+    # faulty rule raises, as Generator.choice refuses the same likelihoods
+    g = gr.builtin_face_grammar()
+    g.or_rules["nose"] = alts
+    with pytest.raises(ValueError, match="OR likelihoods"):
+        gr.sample_scene(g, np.random.default_rng(0), 32, label=1)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(alts), p=np.array([p for _, p in alts]))
 
 
 # ---------------------------------------------------------------------------
